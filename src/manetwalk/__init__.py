@@ -5,7 +5,7 @@ from .core import (Clock, ConfigError, SimConfig, WorldGeometry, config_from,
                    validate_config)
 from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
                      NeighborProvider, PathGraph, SpatialIndex, TorusLattice,
-                     UnknownNodeError, count_link_events, disk_edges, is_connected)
+                     UnknownNodeError, disk_edges, is_connected)
 from .harness import (SummaryRow, SweepSpec, build_run, derive_seed, emit_csv,
                       emit_trace, figdata, parse_trace, read_sweep_file, run_single,
                       run_sweep, summarize, validate_spec)

@@ -50,7 +50,6 @@ class NeighborProvider:
     """Who a token can hop to. Symmetric and irreflexive in every variant."""
 
     n_nodes: int
-    is_dynamic = False
 
     def neighbor_ids(self, node_id: int) -> np.ndarray:
         raise NotImplementedError
@@ -134,9 +133,7 @@ class TorusLattice(NeighborProvider):
 
 
 class DiskGraph(NeighborProvider):
-    """Dynamic disk graph over node positions; edges are pairs within comm_range (closed ball)."""
-
-    is_dynamic = True
+    """Disk graph over node positions; edges are pairs within comm_range (closed ball)."""
 
     def __init__(self, positions: np.ndarray, comm_range: float):
         self.positions = positions
@@ -240,10 +237,3 @@ class LinkEventCounter:
             self.per_node[b] += 1
         self.previous = set(edges)
         self.duration += self.period
-
-
-def count_link_events(counter: LinkEventCounter, positions: np.ndarray,
-                      comm_range: float) -> LinkEventCounter:
-    """Snapshot the current disk graph into the counter (call once per sampling period)."""
-    counter.observe(disk_edges(positions, comm_range))
-    return counter

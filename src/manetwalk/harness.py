@@ -9,10 +9,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (MOBILITY_MODELS, WALK_STRATEGIES, ConfigError, SimConfig,
-                   geometry_for, parse_config_lines, rng_stream, validate_config)
+from .core import (CONFIG_PARSERS, MOBILITY_MODELS, WALK_STRATEGIES, ConfigError,
+                   SimConfig, geometry_for, parse_config_lines, rng_stream,
+                   validate_config)
 from .graphs import DiskGraph
-from .metrics import RunRecord
+from .metrics import MilestoneSnapshot, RunRecord
 from .mobility import init_deployment
 from .walk import Clock, TraceEntry, VisitTable, World, run_walk
 
@@ -53,7 +54,7 @@ def derive_seed(seed_base: int, point: Point, replicate: int) -> int:
 
 
 def validate_spec(spec: SweepSpec) -> SweepSpec:
-    """Check axes and replicates, and that derived seeds never collide."""
+    """Check axes, replicates and every point's config, and that derived seeds never collide."""
     if spec.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {spec.replicates}")
     if not spec.n_nodes or not spec.speeds or not spec.models or not spec.strategies:
@@ -68,7 +69,8 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     seeds = {derive_seed(spec.seed_base, p, r) for p in points for r in range(spec.replicates)}
     if len(seeds) != len(points) * spec.replicates:
         raise ConfigError("seed derivation collided across the sweep grid")
-    validate_config(point_config(spec, points[0], 0))
+    for p in points:
+        validate_config(point_config(spec, p, 0))
     return spec
 
 
@@ -86,8 +88,9 @@ def build_run(config: SimConfig):
     state = init_deployment(cfg, geometry, rng_stream(cfg.seed, "deployment"),
                             motion_rng=rng_stream(cfg.seed, "mobility"))
     provider = DiskGraph(state.positions, geometry.comm_range)
+    # A static world has no mobility state, so run_walk never refreshes its graph.
     world = World(clock=Clock(cfg.tick), visits=VisitTable(cfg.n_nodes),
-                  mobility=state, geometry=geometry)
+                  mobility=None if cfg.mobility_model == "static" else state)
     return cfg, provider, world, rng_stream(cfg.seed, "walk")
 
 
@@ -169,17 +172,11 @@ def summarize(records: Iterable[RunRecord]) -> List[SummaryRow]:
     population deviations, so a single run reports 0.
     """
     groups: Dict[Tuple, List[RunRecord]] = {}
-    order: List[Tuple] = []
     for rec in records:
-        key = _point_of(rec.config)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(rec)
+        groups.setdefault(_point_of(rec.config), []).append(rec)
 
     rows: List[SummaryRow] = []
-    for key in order:
-        group = groups[key]
+    for key, group in groups.items():
         complete = [r for r in group if not r.timed_out and r.error is None]
         timed_out = sum(1 for r in group if r.timed_out)
         failed = sum(1 for r in group if r.error is not None)
@@ -327,51 +324,44 @@ def parse_trace(path) -> Tuple[Dict[str, int], List[TraceEntry]]:
     return meta, entries
 
 
-def summarize_runs_csv(out_dir) -> str:
-    """Rebuild summary.csv from an existing runs.csv.
+def parse_runs(path) -> List[RunRecord]:
+    """Read runs.csv back into records (the inverse of run_rows).
 
-    Works purely from the file, so milestones no run reached and failed runs
-    (which emit no rows) cannot be reconstructed; the sweep command's in-memory
-    summary is authoritative for those.
+    Histograms, failed runs and runs that reached no milestone are not in the
+    file. Each config's milestones are the targets seen at its sweep point.
     """
-    rows = _read_csv(os.path.join(out_dir, "runs.csv"))
-    groups: Dict[Tuple, List[Dict[str, str]]] = {}
-    order: List[Tuple] = []
-    for row in rows:
-        key = tuple(row[c] for c in POINT_COLUMNS)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+    records: Dict[Tuple, RunRecord] = {}
+    targets: Dict[Tuple, set] = {}
+    for row in _read_csv(path):
+        point = tuple(row[c] for c in POINT_COLUMNS)
+        key = point + (row["replicate"], row["seed"])
+        if key not in records:
+            config = SimConfig(int(point[0]), float(point[1]), point[2], float(point[3]),
+                               walk_strategy=point[4], seed=int(row["seed"]))
+            records[key] = RunRecord(config, config.seed, timed_out=row["timed_out"] == "1",
+                                     churn_rate=float(row["churn_rate"]),
+                                     waiting_ticks=int(row["waiting_ticks"]),
+                                     replicate=int(row["replicate"]))
+        records[key].milestones.append(MilestoneSnapshot(
+            float(row["milestone"]), float(row["achieved_coverage"]), float(row["sim_time"]),
+            int(row["hops"]), int(row["unique_visited"]), float(row["overhead"]), {},
+            float(row["visit_variance"])))
+        targets.setdefault(point, set()).add(float(row["milestone"]))
+    for key, rec in records.items():
+        rec.config.milestones = tuple(sorted(targets[key[:-2]]))
+    return list(records.values())
 
-    summary: List[SummaryRow] = []
-    for key in order:
-        group = groups[key]
-        runs = {(r["replicate"], r["seed"]): r for r in group}
-        complete = {k: r for k, r in runs.items() if r["timed_out"] == "0"}
-        timed_out = len(runs) - len(complete)
-        targets = sorted({float(r["milestone"]) for r in group})
-        for target in targets:
-            snaps = [r for r in group
-                     if float(r["milestone"]) == target and r["timed_out"] == "0"]
-            if snaps:
-                overheads = np.array([float(r["overhead"]) for r in snaps])
-                mean_ov = float(overheads.mean())
-                std_ov = float(overheads.std())
-                mean_hops = float(np.mean([float(r["hops"]) for r in snaps]))
-                mean_time = float(np.mean([float(r["sim_time"]) for r in snaps]))
-                mean_churn = float(np.mean([float(r["churn_rate"])
-                                            for r in complete.values()]))
-            else:
-                mean_ov = std_ov = mean_hops = mean_time = mean_churn = None
-            summary.append(SummaryRow(
-                int(key[0]), float(key[1]), key[2], float(key[3]), key[4],
-                milestone=target, runs=len(runs), completed=len(complete),
-                timed_out=timed_out, failed=0, mean_overhead=mean_ov,
-                std_overhead=std_ov, mean_hops=mean_hops, mean_sim_time=mean_time,
-                mean_churn_rate=mean_churn))
+
+def summarize_runs_csv(out_dir) -> str:
+    """Rebuild summary.csv from runs.csv through parse_runs and summarize.
+
+    Failed runs and unreached milestones leave no rows in runs.csv, so `failed`
+    reads 0 and those milestones are absent; the sweep command's in-memory
+    summary is authoritative for them.
+    """
+    records = parse_runs(os.path.join(out_dir, "runs.csv"))
     path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, SUMMARY_COLUMNS, summary_rows(summary))
+    _write_csv(path, SUMMARY_COLUMNS, summary_rows(summarize(records)))
     return path
 
 
@@ -389,40 +379,26 @@ def _parse_str_list(text):
     return tuple(x for x in text.replace(",", " ").split())
 
 
-SWEEP_PARSERS = {
-    "sweep_n_nodes": _parse_int_list,
-    "sweep_speed_avg": _parse_float_list,
-    "sweep_mobility_model": _parse_str_list,
-    "sweep_walk_strategy": _parse_str_list,
-    "replicates": int,
-    "seed_base": int,
+# Sweep file key -> (SweepSpec field, parser); every other key is a config key.
+SWEEP_KEYS = {
+    "sweep_n_nodes": ("n_nodes", _parse_int_list),
+    "sweep_speed_avg": ("speeds", _parse_float_list),
+    "sweep_mobility_model": ("models", _parse_str_list),
+    "sweep_walk_strategy": ("strategies", _parse_str_list),
+    "replicates": ("replicates", int),
+    "seed_base": ("seed_base", int),
 }
 
 
 def read_sweep_file(path) -> SweepSpec:
     """A sweep file is a flat config file plus sweep_* axis keys."""
-    from .core import CONFIG_PARSERS
     parsers = dict(CONFIG_PARSERS)
-    parsers.update(SWEEP_PARSERS)
+    parsers.update((key, parse) for key, (_, parse) in SWEEP_KEYS.items())
     with open(path, "r", encoding="utf-8") as fh:
         values = parse_config_lines(fh, source=str(path), parsers=parsers)
-    sweep_kwargs = {}
-    base_kwargs = {}
-    for key, value in values.items():
-        if key == "sweep_n_nodes":
-            sweep_kwargs["n_nodes"] = value
-        elif key == "sweep_speed_avg":
-            sweep_kwargs["speeds"] = value
-        elif key == "sweep_mobility_model":
-            sweep_kwargs["models"] = value
-        elif key == "sweep_walk_strategy":
-            sweep_kwargs["strategies"] = value
-        elif key in ("replicates", "seed_base"):
-            sweep_kwargs[key] = value
-        else:
-            base_kwargs[key] = value
-    base = SimConfig(**base_kwargs)
-    return SweepSpec(base=base, **sweep_kwargs)
+    sweep = {SWEEP_KEYS[k][0]: v for k, v in values.items() if k in SWEEP_KEYS}
+    base = {k: v for k, v in values.items() if k not in SWEEP_KEYS}
+    return SweepSpec(base=SimConfig(**base), **sweep)
 
 
 # --- figure data -------------------------------------------------------------

@@ -74,4 +74,3 @@ class RunRecord:
     waiting_ticks: int = 0
     replicate: int = 0
     error: Optional[str] = None
-    wall_clock: float = field(default=0.0, compare=False)

@@ -1,13 +1,12 @@
 """The token engine: self-repelling and pure random hops over any neighbor provider."""
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Clock, SimConfig, WorldGeometry
+from .core import Clock, SimConfig
 from .graphs import LinkEventCounter, NeighborProvider
 from .metrics import (MilestoneSnapshot, RunRecord, churn_rate,
                       exploration_overhead, visit_histogram, visit_variance)
@@ -19,9 +18,6 @@ class VisitTable:
 
     def __init__(self, n_nodes: int):
         self.counts = np.zeros(n_nodes, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
     def visited_count(self) -> int:
         return int(np.count_nonzero(self.counts))
@@ -102,12 +98,6 @@ def choose_next_pure_random(neighbor_ids: np.ndarray, visit_counts: np.ndarray,
     return int(neighbor_ids[rng.integers(neighbor_ids.size)])
 
 
-DECISION_FUNCS = {
-    "self_repelling": choose_next_self_repelling,
-    "pure_random": choose_next_pure_random,
-}
-
-
 def _hop(token: Token, provider: NeighborProvider, visits: VisitTable,
          rng: np.random.Generator, decide, attributes, trace, tick_index) -> bool:
     ids = provider.neighbor_ids(token.current_node)
@@ -166,7 +156,6 @@ class World:
     clock: Clock
     visits: VisitTable
     mobility: Optional[MobilityState] = None
-    geometry: Optional[WorldGeometry] = None
     attributes: Optional[np.ndarray] = None
     token: Optional[Token] = None  # the run's walker, set by run_walk
 
@@ -204,10 +193,11 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     """Run one token to full coverage, interleaving mobility ticks and hop attempts.
 
     Per tick: advance the clock, move the nodes, then (every hop_interval)
-    attempt one hop and (every second of simulated time, dynamic graphs only)
-    snapshot the edge set for link-churn accounting. A milestone snapshot is
-    taken the first time coverage reaches each configured target. The run ends
-    at full coverage, or at max_sim_time with the record flagged timed_out.
+    attempt one hop and (every second of simulated time) snapshot the edge set
+    for link-churn accounting. Only a world with mobility state moves and
+    snapshots, over a DiskGraph of its positions. A milestone snapshot is taken
+    the first time coverage reaches each configured target. The run ends at
+    full coverage, or at max_sim_time with the record flagged timed_out.
     """
     n = provider.n_nodes
     visits = world.visits
@@ -218,39 +208,33 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     thresholds = milestone_thresholds(config.milestones, n)
     snapshots: List[MilestoneSnapshot] = []
     pending = 0
-    while pending < len(thresholds) and token.unique_visited >= thresholds[pending][1]:
-        snapshots.append(_snapshot(thresholds[pending][0], token, visits, n, clock.now))
-        pending += 1
-
     hop_every = round(config.hop_interval / config.tick)
     link_every = max(1, round(1.0 / config.tick))
     max_ticks = int(math.floor(config.max_sim_time / config.tick + 1e-9))
 
     churn: Optional[LinkEventCounter] = None
-    if provider.is_dynamic:
+    if world.mobility is not None:
         churn = LinkEventCounter(n, period=link_every * config.tick)
         churn.observe(provider.edge_set())
 
     waiting_ticks = 0
-    wall0 = time.perf_counter()
-    while pending < len(thresholds) and clock.tick_index < max_ticks:
+    while True:
+        # Before the clock advances, so a crossing carries the time of its hop.
+        while pending < len(thresholds) and token.unique_visited >= thresholds[pending][1]:
+            snapshots.append(_snapshot(thresholds[pending][0], token, visits, n, clock.now))
+            pending += 1
+        if pending == len(thresholds) or clock.tick_index >= max_ticks:
+            break
         clock.advance()
-        if world.mobility is not None:
-            step_all(world.mobility, config)
         hop_due = clock.tick_index % hop_every == 0
         link_due = churn is not None and clock.tick_index % link_every == 0
-        if provider.is_dynamic and (hop_due or link_due):
-            provider.refresh()
-        if hop_due:
-            if HOP_FUNCS[config.walk_strategy](token, provider, visits, rng,
-                                               world.attributes, trace, clock.tick_index):
-                while (pending < len(thresholds)
-                       and token.unique_visited >= thresholds[pending][1]):
-                    snapshots.append(
-                        _snapshot(thresholds[pending][0], token, visits, n, clock.now))
-                    pending += 1
-            else:
-                waiting_ticks += 1
+        if world.mobility is not None:
+            step_all(world.mobility, config)
+            if hop_due or link_due:
+                provider.refresh()
+        if hop_due and not HOP_FUNCS[config.walk_strategy](
+                token, provider, visits, rng, world.attributes, trace, clock.tick_index):
+            waiting_ticks += 1
         if link_due:
             churn.observe(provider.edge_set())
 
@@ -264,7 +248,6 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
         timed_out=pending < len(thresholds),
         churn_rate=rate,
         waiting_ticks=waiting_ticks,
-        wall_clock=time.perf_counter() - wall0,
     )
 
 

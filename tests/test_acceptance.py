@@ -14,7 +14,7 @@ import pytest
 
 from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
 from manetwalk.graphs import (CompleteGraph, CycleGraph, LinkEventCounter,
-                              TorusLattice, count_link_events)
+                              TorusLattice, disk_edges)
 from manetwalk.harness import SweepSpec, build_run, emit_csv, run_sweep
 from manetwalk.metrics import visit_variance
 from manetwalk.mobility import init_deployment, step_all
@@ -186,12 +186,12 @@ def _measured_churn(n, speed, seed, seconds=30):
     state = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
                             motion_rng=rng_stream(seed, "mobility"))
     counter = LinkEventCounter(n, period=1.0)
-    count_link_events(counter, state.positions, geom.comm_range)
+    counter.observe(disk_edges(state.positions, geom.comm_range))
     ticks_per_second = round(1.0 / cfg.tick)
     for _ in range(seconds):
         for _ in range(ticks_per_second):
             step_all(state, cfg)
-        count_link_events(counter, state.positions, geom.comm_range)
+        counter.observe(disk_edges(state.positions, geom.comm_range))
     from manetwalk.metrics import churn_rate
     return churn_rate(counter, n, counter.duration)
 

@@ -4,8 +4,8 @@ import pytest
 from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
 from manetwalk.graphs import (CompleteGraph, CycleGraph, DiskGraph,
                               LinkEventCounter, PathGraph, SpatialIndex,
-                              TorusLattice, UnknownNodeError, count_link_events,
-                              disk_edges, is_connected)
+                              TorusLattice, UnknownNodeError, disk_edges,
+                              is_connected)
 from manetwalk.mobility import init_deployment
 
 
@@ -176,12 +176,12 @@ def test_link_events_per_node_sum_invariant():
     assert counter.duration == 29.0
 
 
-def test_count_link_events_wrapper():
+def test_link_events_from_disk_edge_snapshots():
     positions = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 10.0]])
     counter = LinkEventCounter(3)
-    count_link_events(counter, positions, 1.5)
+    counter.observe(disk_edges(positions, 1.5))
     positions[1] = (5.0, 5.0)  # breaks the only edge
-    count_link_events(counter, positions, 1.5)
+    counter.observe(disk_edges(positions, 1.5))
     assert counter.events == 1
     assert list(counter.per_node) == [1, 1, 0]
 

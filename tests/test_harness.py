@@ -48,6 +48,8 @@ def test_validate_spec_rejects_bad_axes():
         validate_spec(_spec(models=()))
     with pytest.raises(ConfigError):
         validate_spec(_spec(strategies=("hamiltonian",)))
+    with pytest.raises(ConfigError):  # 1 m/s minus the 2 m/s half-width
+        validate_spec(_spec(speeds=(7.0, 1.0)))
 
 
 def test_sweep_single_point():
@@ -164,21 +166,35 @@ def test_runs_csv_row_count_matches_milestones(tmp_path):
 
 
 def test_summarize_runs_csv_round_trip(tmp_path):
-    records = run_sweep(_spec())
-    paths = emit_csv(records, tmp_path)
-    original = _read(paths["summary"])
-    os.remove(paths["summary"])
-    summarize_runs_csv(tmp_path)
-    rebuilt = _read(paths["summary"])
-    orig_rows = original.decode().splitlines()
-    new_rows = rebuilt.decode().splitlines()
-    assert new_rows[0] == orig_rows[0]
-    assert len(new_rows) == len(orig_rows)
-    # numeric content agrees; failed counts (index 9) are unknowable from the file
-    for a, b in zip(orig_rows[1:], new_rows[1:]):
-        assert a.split(",")[:9] == b.split(",")[:9]
-        for x, y in zip(a.split(",")[10:], b.split(",")[10:]):
-            assert x == y or math.isclose(float(x), float(y), rel_tol=1e-7)
+    # The second grid times out its pure-random runs before full coverage, so
+    # some milestones are reached by no run, and it includes static runs.
+    short = replace(FAST_BASE, max_sim_time=8.0)
+    specs = (_spec(), _spec(base=short, models=("random_direction", "static"),
+                            strategies=("self_repelling", "pure_random")))
+    for name, spec in zip("ab", specs):
+        records = run_sweep(spec)
+        paths = emit_csv(records, tmp_path / name)
+        original = _read(paths["summary"])
+        os.remove(paths["summary"])
+        summarize_runs_csv(tmp_path / name)
+        rebuilt = _read(paths["summary"])
+        run_rows = [r.split(",") for r in _read(paths["runs"]).decode().splitlines()[1:]]
+        reached = {tuple(r[:5]) + (r[10],) for r in run_rows}
+        orig_rows = original.decode().splitlines()
+        new_rows = rebuilt.decode().splitlines()
+        assert new_rows[0] == orig_rows[0]
+        # milestones no run reached leave no row in runs.csv, so none in the rebuild
+        kept = [r for r in orig_rows[1:] if tuple(r.split(",")[:6]) in reached]
+        assert len(new_rows) - 1 == len(kept)
+        if name == "b":
+            assert len(kept) < len(orig_rows) - 1
+            assert any(r.timed_out for r in records)
+            assert any(r.config.mobility_model == "static" for r in records)
+        # numeric content agrees; failed counts (index 9) are unknowable from the file
+        for a, b in zip(kept, new_rows[1:]):
+            assert a.split(",")[:9] == b.split(",")[:9]
+            for x, y in zip(a.split(",")[10:], b.split(",")[10:]):
+                assert x == y or math.isclose(float(x), float(y), rel_tol=1e-7)
 
 
 def test_trace_round_trip_and_replay(tmp_path):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from manetwalk.core import Clock, SimConfig, rng_stream, validate_config
+from manetwalk.core import Clock, SimConfig, geometry_for, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph, CycleGraph, DiskGraph, PathGraph
 from manetwalk.harness import build_run, run_single
+from manetwalk.mobility import MobilityState
 from manetwalk.walk import (VisitTable, World, choose_next_pure_random,
                             choose_next_self_repelling, hop_pure_random,
                             hop_self_repelling, introduce_token, run_walk,
@@ -153,6 +154,29 @@ def test_run_walk_times_out_when_disconnected():
     assert record.waiting_ticks == 50  # every attempt stranded
 
 
+@pytest.mark.parametrize("n_nodes, seed, timed_out", [(60, 0, False), (100, 26, True)])
+def test_static_run_never_refreshes_and_matches_mobile_path(monkeypatch, n_nodes, seed,
+                                                             timed_out):
+    calls = {"refresh": 0, "edge_set": 0}
+    for name in calls:
+        def counted(self, _name=name, _original=getattr(DiskGraph, name)):
+            calls[_name] += 1
+            return _original(self)
+        monkeypatch.setattr(DiskGraph, name, counted)
+    cfg = SimConfig(n_nodes=n_nodes, mobility_model="static", max_sim_time=60.0, seed=seed)
+    cfg, provider, world, rng = build_run(cfg)
+    static = run_walk(cfg, provider, world, rng)
+    assert calls == {"refresh": 0, "edge_set": 0}
+    assert static.timed_out == timed_out
+    assert static.churn_rate == 0.0
+
+    # Reference: the same run with a MobilityState that never moves.
+    cfg, provider, world, rng = build_run(cfg)
+    world.mobility = MobilityState("static", geometry_for(cfg).side, provider.positions)
+    assert run_walk(cfg, provider, world, rng) == static
+    assert calls["refresh"] > 0 and calls["edge_set"] > 0
+
+
 def test_run_walk_static_complete_graph():
     cfg = validate_config(SimConfig(n_nodes=100, seed=8))
     provider = CompleteGraph(100)
@@ -211,7 +235,7 @@ def test_aggregates_default_node_ids():
 
 def test_identical_configs_give_identical_records():
     cfg = SimConfig(n_nodes=70, seed=33)
-    assert run_single(cfg) == run_single(cfg)  # wall clock excluded from equality
+    assert run_single(cfg) == run_single(cfg)
 
 
 def test_memoryless_decision_replay():
