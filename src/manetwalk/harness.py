@@ -324,10 +324,12 @@ def parse_trace(path) -> Tuple[Dict[str, int], List[TraceEntry]]:
     return meta, entries
 
 
-def parse_runs(path) -> List[RunRecord]:
-    """Read runs.csv back into records (the inverse of run_rows).
+def _records_from_runs_csv(path) -> List[RunRecord]:
+    """Read runs.csv back into just enough of each record for summarize.
 
-    Histograms, failed runs and runs that reached no milestone are not in the
+    Only the sweep-point fields, the seed, the replicate and the milestone data
+    are recovered; every other config field takes its default and histograms
+    are empty. Failed runs and runs that reached no milestone are not in the
     file. Each config's milestones are the targets seen at its sweep point.
     """
     records: Dict[Tuple, RunRecord] = {}
@@ -353,13 +355,13 @@ def parse_runs(path) -> List[RunRecord]:
 
 
 def summarize_runs_csv(out_dir) -> str:
-    """Rebuild summary.csv from runs.csv through parse_runs and summarize.
+    """Rebuild summary.csv from runs.csv through summarize.
 
     Failed runs and unreached milestones leave no rows in runs.csv, so `failed`
     reads 0 and those milestones are absent; the sweep command's in-memory
     summary is authoritative for them.
     """
-    records = parse_runs(os.path.join(out_dir, "runs.csv"))
+    records = _records_from_runs_csv(os.path.join(out_dir, "runs.csv"))
     path = os.path.join(out_dir, "summary.csv")
     _write_csv(path, SUMMARY_COLUMNS, summary_rows(summarize(records)))
     return path

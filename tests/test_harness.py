@@ -186,6 +186,9 @@ def test_summarize_runs_csv_round_trip(tmp_path):
         # milestones no run reached leave no row in runs.csv, so none in the rebuild
         kept = [r for r in orig_rows[1:] if tuple(r.split(",")[:6]) in reached]
         assert len(new_rows) - 1 == len(kept)
+        if name == "a":
+            # every milestone is reached, so no row may be dropped
+            assert kept == orig_rows[1:]
         if name == "b":
             assert len(kept) < len(orig_rows) - 1
             assert any(r.timed_out for r in records)
