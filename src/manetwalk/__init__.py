@@ -4,8 +4,8 @@ from .core import (Clock, ConfigError, SimConfig, WorldGeometry, config_from,
                    derive_geometry, geometry_for, read_config_file, rng_stream,
                    validate_config)
 from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
-                     NeighborProvider, PathGraph, SpatialIndex, TorusLattice,
-                     UnknownNodeError, disk_edges, is_connected)
+                     NeighborProvider, PathGraph, TorusLattice, UnknownNodeError,
+                     disk_edges, is_connected)
 from .harness import (SummaryRow, SweepSpec, build_run, derive_seed, emit_csv,
                       emit_trace, figdata, parse_trace, read_sweep_file, run_single,
                       run_sweep, summarize, validate_spec)

@@ -117,8 +117,10 @@ def validate_config(config: SimConfig) -> SimConfig:
 
     Each violation raises a distinct ConfigError naming the offending field.
     """
-    if int(config.n_nodes) != config.n_nodes or config.n_nodes < 1:
-        raise ConfigError(f"n_nodes must be an integer >= 1, got {config.n_nodes}")
+    min_nodes = 2 if config.comm_range is None else 1  # ln(1) = 0 derives no range
+    if int(config.n_nodes) != config.n_nodes or config.n_nodes < min_nodes:
+        raise ConfigError("n_nodes must be an integer >= 1, and >= 2 without a comm_range "
+                          f"override, got {config.n_nodes}")
     if config.density <= 0:
         raise ConfigError(f"density must be positive, got {config.density}")
     if config.mobility_model not in MOBILITY_MODELS:

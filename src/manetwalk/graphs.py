@@ -1,7 +1,11 @@
-"""Neighbor resolution: dynamic disk graphs over a uniform grid, static oracle families, link churn."""
+"""Neighbor resolution: disk graphs, static oracle families, link churn.
 
-import math
-from typing import Dict, List, Optional, Set, Tuple
+A disk graph is held as its node positions, read at query time, and its edges
+as sorted int64 keys i * N + j (i < j). Churn is the symmetric difference of
+two key snapshots.
+"""
+
+from typing import Dict, Optional, Set, Tuple
 
 import numpy as np
 
@@ -10,40 +14,6 @@ Edge = Tuple[int, int]
 
 class UnknownNodeError(KeyError):
     """A node id outside the provider's range."""
-
-
-class SpatialIndex:
-    """Uniform grid with cell size = comm_range; each node lives in exactly one cell."""
-
-    def __init__(self, positions: np.ndarray, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
-        self.cell_size = cell_size
-        self.cells: Dict[Tuple[int, int], np.ndarray] = {}
-        cx = np.floor(positions[:, 0] / cell_size).astype(np.int64)
-        cy = np.floor(positions[:, 1] / cell_size).astype(np.int64)
-        buckets: Dict[Tuple[int, int], List[int]] = {}
-        for i in range(len(positions)):
-            buckets.setdefault((int(cx[i]), int(cy[i])), []).append(i)
-        for key, ids in buckets.items():
-            self.cells[key] = np.asarray(ids, dtype=np.int64)
-
-    def cell_of(self, point) -> Tuple[int, int]:
-        return (int(math.floor(point[0] / self.cell_size)),
-                int(math.floor(point[1] / self.cell_size)))
-
-    def candidates(self, point) -> np.ndarray:
-        """All ids in the 3x3 cell neighborhood of a point."""
-        cx, cy = self.cell_of(point)
-        found = []
-        for mx in (cx - 1, cx, cx + 1):
-            for my in (cy - 1, cy, cy + 1):
-                ids = self.cells.get((mx, my))
-                if ids is not None:
-                    found.append(ids)
-        if not found:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(found)
 
 
 class NeighborProvider:
@@ -133,70 +103,62 @@ class TorusLattice(NeighborProvider):
 
 
 class DiskGraph(NeighborProvider):
-    """Disk graph over node positions; edges are pairs within comm_range (closed ball)."""
+    """Disk graph over positions read at query time; edges lie within comm_range (closed ball)."""
 
     def __init__(self, positions: np.ndarray, comm_range: float):
         self.positions = positions
         self.comm_range = comm_range
         self._r2 = comm_range * comm_range
         self.n_nodes = len(positions)
-        self.index = SpatialIndex(positions, comm_range)
 
     def refresh(self) -> None:
-        """Rebuild the spatial index after positions changed in place."""
-        self.index = SpatialIndex(self.positions, self.comm_range)
+        """No-op: queries read live positions. Kept because perfbench/layers.py wraps this name."""
 
     def neighbor_ids(self, node_id: int) -> np.ndarray:
+        """Sorted ids within comm_range of the node, from one distance row."""
         self._check(node_id)
-        p = self.positions[node_id]
-        cand = self.index.candidates(p)
-        d = self.positions[cand] - p
-        near = cand[(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) <= self._r2]
-        near = near[near != node_id]
-        near.sort()
-        return near
+        d = self.positions - self.positions[node_id]
+        near = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= self._r2)
+        return near[near != node_id]
+
+    def edge_keys(self) -> np.ndarray:
+        """The current edges as sorted keys i * n_nodes + j, i < j (see disk_edges)."""
+        return disk_edges(self.positions, self.comm_range)
 
     def edge_set(self) -> Set[Edge]:
-        return disk_edges(self.positions, self.comm_range, index=self.index)
+        """The current edges as canonical (low, high) id pairs."""
+        return {divmod(int(k), self.n_nodes) for k in self.edge_keys()}
 
 
-def disk_edges(positions: np.ndarray, comm_range: float,
-               index: Optional[SpatialIndex] = None) -> Set[Edge]:
-    """All disk-graph edges as canonical (low, high) id pairs.
+def disk_edges(positions: np.ndarray, comm_range: float) -> np.ndarray:
+    """All disk-graph edges as sorted int64 keys i * N + j with i < j.
 
-    Sweeps grid cells with a forward 4-cell stencil so each cell pair is
-    visited once; distances are compared on the closed ball.
+    Sweeps the nodes in x order: each node is paired with the later nodes
+    whose x lies in a band slightly wider than comm_range, and the same
+    closed-ball test as DiskGraph.neighbor_ids decides each pair.
     """
-    if index is None:
-        index = SpatialIndex(positions, comm_range)
-    r2 = comm_range * comm_range
-    edges: Set[Edge] = set()
-    for (cx, cy), ids in index.cells.items():
-        pts = positions[ids]
-        k = ids.size
-        if k > 1:
-            d = pts[:, None, :] - pts[None, :, :]
-            close = (d[:, :, 0] ** 2 + d[:, :, 1] ** 2) <= r2
-            ai, bi = np.nonzero(np.triu(close, 1))
-            for a, b in zip(ids[ai], ids[bi]):
-                edges.add((int(a), int(b)) if a < b else (int(b), int(a)))
-        for dx, dy in ((1, 0), (0, 1), (1, 1), (1, -1)):
-            other = index.cells.get((cx + dx, cy + dy))
-            if other is None:
-                continue
-            d = pts[:, None, :] - positions[other][None, :, :]
-            close = (d[:, :, 0] ** 2 + d[:, :, 1] ** 2) <= r2
-            ai, bi = np.nonzero(close)
-            for a, b in zip(ids[ai], other[bi]):
-                edges.add((int(a), int(b)) if a < b else (int(b), int(a)))
-    return edges
+    n = len(positions)
+    order = np.argsort(positions[:, 0], kind="stable")
+    xs = positions[order, 0]
+    ys = positions[order, 1]
+    # The margin covers rounding, so the band never drops a pair the exact test keeps.
+    reach = comm_range + 1e-9 * (comm_range + np.abs(xs).max(initial=0.0))
+    first = np.arange(1, n + 1)
+    stop = np.searchsorted(xs, xs + reach, side="right")
+    counts = stop - first
+    starts = np.cumsum(counts) - counts
+    a = np.repeat(np.arange(n), counts)
+    b = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
+    dx = xs[a] - xs[b]
+    dy = ys[a] - ys[b]
+    close = dx * dx + dy * dy <= comm_range * comm_range
+    a, b = order[a[close]], order[b[close]]
+    return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
 
 
 def is_connected(positions: np.ndarray, comm_range: float) -> bool:
     """True iff the disk graph over the positions has a single component."""
     n = len(positions)
-    if n <= 1:
-        return True
     parent = list(range(n))
 
     def find(a):
@@ -206,12 +168,13 @@ def is_connected(positions: np.ndarray, comm_range: float) -> bool:
         return a
 
     components = n
-    for a, b in disk_edges(positions, comm_range):
+    lows, highs = np.divmod(disk_edges(positions, comm_range), n)
+    for a, b in zip(lows.tolist(), highs.tolist()):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
             components -= 1
-    return components == 1
+    return components <= 1
 
 
 class LinkEventCounter:
@@ -220,20 +183,20 @@ class LinkEventCounter:
     def __init__(self, n_nodes: int, period: float = 1.0):
         self.n_nodes = n_nodes
         self.period = period
-        self.previous: Optional[Set[Edge]] = None
+        self.previous: Optional[np.ndarray] = None
         self.events = 0
         self.per_node = np.zeros(n_nodes, dtype=np.int64)
         self.duration = 0.0
 
-    def observe(self, edges: Set[Edge]) -> None:
-        """Fold in one snapshot; the first call only establishes the baseline."""
+    def observe(self, keys: np.ndarray) -> None:
+        """Fold in one sorted key snapshot; the first call only establishes the baseline."""
         if self.previous is None:
-            self.previous = set(edges)
+            self.previous = keys
             return
-        changed = self.previous ^ edges
-        self.events += len(changed)
-        for a, b in changed:
-            self.per_node[a] += 1
-            self.per_node[b] += 1
-        self.previous = set(edges)
+        changed = np.setxor1d(self.previous, keys, assume_unique=True)
+        self.events += changed.size
+        lows, highs = np.divmod(changed, self.n_nodes)
+        self.per_node += np.bincount(lows, minlength=self.n_nodes)
+        self.per_node += np.bincount(highs, minlength=self.n_nodes)
+        self.previous = keys
         self.duration += self.period

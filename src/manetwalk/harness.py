@@ -88,7 +88,7 @@ def build_run(config: SimConfig):
     state = init_deployment(cfg, geometry, rng_stream(cfg.seed, "deployment"),
                             motion_rng=rng_stream(cfg.seed, "mobility"))
     provider = DiskGraph(state.positions, geometry.comm_range)
-    # A static world has no mobility state, so run_walk never refreshes its graph.
+    # A static world has no mobility state, so run_walk never snapshots its edges.
     world = World(clock=Clock(cfg.tick), visits=VisitTable(cfg.n_nodes),
                   mobility=None if cfg.mobility_model == "static" else state)
     return cfg, provider, world, rng_stream(cfg.seed, "walk")

@@ -193,7 +193,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     """Run one token to full coverage, interleaving mobility ticks and hop attempts.
 
     Per tick: advance the clock, move the nodes, then (every hop_interval)
-    attempt one hop and (every second of simulated time) snapshot the edge set
+    attempt one hop and (every second of simulated time) snapshot the edge keys
     for link-churn accounting. Only a world with mobility state moves and
     snapshots, over a DiskGraph of its positions. A milestone snapshot is taken
     the first time coverage reaches each configured target. The run ends at
@@ -215,7 +215,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     churn: Optional[LinkEventCounter] = None
     if world.mobility is not None:
         churn = LinkEventCounter(n, period=link_every * config.tick)
-        churn.observe(provider.edge_set())
+        churn.observe(provider.edge_keys())
 
     waiting_ticks = 0
     while True:
@@ -230,13 +230,11 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
         link_due = churn is not None and clock.tick_index % link_every == 0
         if world.mobility is not None:
             step_all(world.mobility, config)
-            if hop_due or link_due:
-                provider.refresh()
         if hop_due and not HOP_FUNCS[config.walk_strategy](
                 token, provider, visits, rng, world.attributes, trace, clock.tick_index):
             waiting_ticks += 1
         if link_due:
-            churn.observe(provider.edge_set())
+            churn.observe(provider.edge_keys())
 
     rate = 0.0
     if churn is not None and churn.duration > 0:

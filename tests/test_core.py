@@ -55,6 +55,7 @@ def test_validate_config_accepts_default():
     cfg = SimConfig()
     out = validate_config(cfg)
     assert out == cfg
+    validate_config(SimConfig(n_nodes=1, comm_range=1.0))
 
 
 def test_validate_config_named_errors():
@@ -64,6 +65,8 @@ def test_validate_config_named_errors():
         validate_config(SimConfig(speed_avg=3.0, speed_halfwidth=4.0))
     with pytest.raises(ConfigError, match="n_nodes"):
         validate_config(SimConfig(n_nodes=0))
+    with pytest.raises(ConfigError, match="n_nodes must be an integer >= 1, and >= 2 without"):
+        validate_config(SimConfig(n_nodes=1))
     with pytest.raises(ConfigError, match="density"):
         validate_config(SimConfig(density=-1.0))
     with pytest.raises(ConfigError, match="mobility_model"):

@@ -3,9 +3,8 @@ import pytest
 
 from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
 from manetwalk.graphs import (CompleteGraph, CycleGraph, DiskGraph,
-                              LinkEventCounter, PathGraph, SpatialIndex,
-                              TorusLattice, UnknownNodeError, disk_edges,
-                              is_connected)
+                              LinkEventCounter, PathGraph, TorusLattice,
+                              UnknownNodeError, disk_edges, is_connected)
 from manetwalk.mobility import init_deployment
 
 
@@ -27,24 +26,43 @@ def brute_force_edges(positions, comm_range):
     return edges
 
 
-def test_spatial_index_empty():
-    index = SpatialIndex(np.zeros((0, 2)), 1.0)
-    assert index.cells == {}
-    assert index.candidates((0.5, 0.5)).size == 0
+def keys_of(edges, n):
+    """Sorted int64 edge keys i * n + j of (i, j) pairs with i < j."""
+    return np.array(sorted(i * n + j for i, j in edges), dtype=np.int64)
 
 
-def test_spatial_index_cell_assignment():
-    index = SpatialIndex(np.array([[0.1, 0.1], [0.15, 0.1]]), 1.0)
-    assert set(index.cells) == {(0, 0)}
-    assert sorted(index.cells[(0, 0)]) == [0, 1]
+def assert_matches_brute_force(positions, r):
+    graph = DiskGraph(positions, r)
+    n = len(positions)
+    for i in range(n):
+        expected = sorted(brute_force_neighbors(positions, r, i))
+        assert graph.neighbor_ids(i).tolist() == expected
+    edges = brute_force_edges(positions, r)
+    keys = disk_edges(positions, r)
+    assert keys.dtype == np.int64
+    assert np.array_equal(keys, keys_of(edges, n))
+    assert graph.edge_set() == edges
 
 
-def test_spatial_index_every_node_once():
-    rng = np.random.default_rng(0)
-    positions = rng.uniform(0, 37.0, size=(400, 2))
-    index = SpatialIndex(positions, 3.0)
-    seen = np.concatenate(list(index.cells.values()))
-    assert sorted(seen) == list(range(400))
+def test_disk_graph_matches_brute_force_on_half_integer_grid():
+    # Half-integer coordinates make x values tie and put pairs at exactly R.
+    rng = np.random.default_rng(7)
+    at_range = 0
+    for _ in range(100):
+        n = int(rng.integers(2, 60))
+        r = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
+        positions = rng.integers(0, 16, size=(n, 2)) / 2.0
+        assert_matches_brute_force(positions, r)
+        d = positions[:, None, :] - positions[None, :, :]
+        at_range += int(np.count_nonzero(d[:, :, 0] ** 2 + d[:, :, 1] ** 2 == r * r))
+    assert at_range > 0
+
+
+def test_disk_graph_tiny_sizes():
+    for n in (0, 1, 2):
+        assert_matches_brute_force(np.zeros((n, 2)), 1.0)
+    assert disk_edges(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0).tolist() == [1]
+    assert disk_edges(np.array([[0.0, 0.0], [1.5, 0.0]]), 1.0).size == 0
 
 
 def test_indexed_neighbors_match_brute_force_500():
@@ -58,13 +76,10 @@ def test_indexed_neighbors_match_brute_force_500():
 def test_indexed_neighbors_match_brute_force_200_configs():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        n = int(rng.integers(1, 60))
+        n = int(rng.integers(0, 60))
         side = float(rng.uniform(5.0, 40.0))
         r = float(rng.uniform(0.5, side / 2))
-        positions = rng.uniform(0, side, size=(n, 2))
-        graph = DiskGraph(positions, r)
-        for i in range(n):
-            assert graph.neighbors(i) == brute_force_neighbors(positions, r, i)
+        assert_matches_brute_force(rng.uniform(0, side, size=(n, 2)), r)
 
 
 def test_disk_edges_match_brute_force():
@@ -73,7 +88,8 @@ def test_disk_edges_match_brute_force():
         n = int(rng.integers(2, 80))
         positions = rng.uniform(0, 25.0, size=(n, 2))
         r = float(rng.uniform(1.0, 10.0))
-        assert disk_edges(positions, r) == brute_force_edges(positions, r)
+        assert np.array_equal(disk_edges(positions, r),
+                              keys_of(brute_force_edges(positions, r), n))
 
 
 def test_closed_ball_boundary():
@@ -146,16 +162,16 @@ def test_degenerate_graph_sizes_rejected():
 
 def test_link_events_identical_snapshots():
     counter = LinkEventCounter(4)
-    counter.observe({(0, 1)})
-    counter.observe({(0, 1)})
+    counter.observe(keys_of({(0, 1)}, 4))
+    counter.observe(keys_of({(0, 1)}, 4))
     assert counter.events == 0
     assert counter.per_node.sum() == 0
 
 
 def test_link_events_appear_and_disappear():
     counter = LinkEventCounter(4)
-    counter.observe({(2, 3)})
-    counter.observe({(0, 1)})  # (0,1) appeared, (2,3) disappeared
+    counter.observe(keys_of({(2, 3)}, 4))
+    counter.observe(keys_of({(0, 1)}, 4))  # (0,1) appeared, (2,3) disappeared
     assert counter.events == 2
     assert list(counter.per_node) == [1, 1, 1, 1]
     assert counter.duration == 1.0
@@ -171,9 +187,31 @@ def test_link_events_per_node_sum_invariant():
             a, b = sorted(rng.integers(0, 20, size=2))
             if a != b:
                 edges.add((int(a), int(b)))
-        counter.observe(edges)
+        counter.observe(keys_of(edges, 20))
     assert counter.per_node.sum() == 2 * counter.events
     assert counter.duration == 29.0
+
+
+def test_link_events_match_set_reference():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        counter = LinkEventCounter(n)
+        events = 0
+        per_node = np.zeros(n, dtype=np.int64)
+        previous = None
+        for _ in range(int(rng.integers(1, 12))):
+            pairs = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+            edges = {(int(min(a, b)), int(max(a, b))) for a, b in pairs if a != b}
+            counter.observe(keys_of(edges, n))
+            if previous is not None:
+                for a, b in previous ^ edges:
+                    events += 1
+                    per_node[a] += 1
+                    per_node[b] += 1
+            previous = edges
+        assert counter.events == events
+        assert counter.per_node.tolist() == per_node.tolist()
 
 
 def test_link_events_from_disk_edge_snapshots():
@@ -203,10 +241,11 @@ def test_connectivity_threshold_monte_carlo():
     assert connected >= 95
 
 
-def test_refresh_tracks_moved_positions():
+def test_queries_see_positions_moved_in_place():
     positions = np.array([[0.0, 0.0], [10.0, 0.0]])
     graph = DiskGraph(positions, 2.0)
     assert graph.neighbors(0) == set()
+    assert graph.edge_keys().size == 0
     positions[1] = (1.0, 0.0)
-    graph.refresh()
     assert graph.neighbors(0) == {1}
+    assert graph.edge_keys().tolist() == [1]

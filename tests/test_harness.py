@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from manetwalk import harness
 from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph
 from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
@@ -50,6 +51,8 @@ def test_validate_spec_rejects_bad_axes():
         validate_spec(_spec(strategies=("hamiltonian",)))
     with pytest.raises(ConfigError):  # 1 m/s minus the 2 m/s half-width
         validate_spec(_spec(speeds=(7.0, 1.0)))
+    with pytest.raises(ConfigError):  # ln(1) = 0 derives no comm_range
+        validate_spec(_spec(n_nodes=(1, 40)))
 
 
 def test_sweep_single_point():
@@ -81,14 +84,23 @@ def test_sweep_deterministic_across_workers(tmp_path):
         assert len(blobs) == 1
 
 
-def test_sweep_records_failures_without_aborting():
-    # n_nodes=1 cannot derive a comm_range, so that point fails while others run
-    spec = _spec(n_nodes=(1, 40), replicates=1)
+def test_sweep_records_failures_without_aborting(monkeypatch):
+    # The N=30 point fails at deployment while the N=40 point runs.
+    deploy = harness.init_deployment
+
+    def failing_deploy(config, *args, **kwargs):
+        if config.n_nodes == 30:
+            raise RuntimeError("planted deployment failure")
+        return deploy(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "init_deployment", failing_deploy)
+    spec = _spec(n_nodes=(30, 40), replicates=1)
     records = run_sweep(spec)
     assert len(records) == 2
     failed = [r for r in records if r.error is not None]
     assert len(failed) == 1
-    assert failed[0].config.n_nodes == 1
+    assert failed[0].config.n_nodes == 30
+    assert failed[0].error == "planted deployment failure"
     assert not records[1].timed_out
 
 

@@ -71,17 +71,18 @@ def test_overhead_one_iff_duplicate_free():
 
 def test_churn_rate_zero_events():
     counter = LinkEventCounter(10)
-    counter.observe(set())
-    counter.observe(set())
+    counter.observe(np.empty(0, dtype=np.int64))
+    counter.observe(np.empty(0, dtype=np.int64))
     assert churn_rate(counter, 10, counter.duration) == 0.0
 
 
 def test_churn_rate_convention():
     # 100 edge events over 1 s in a 100-node network -> 1.0 per node per second
     counter = LinkEventCounter(100)
-    counter.observe(set())
-    counter.observe({(2 * i, 2 * i + 1) for i in range(50)})
-    counter.observe(set())
+    none = np.empty(0, dtype=np.int64)
+    counter.observe(none)
+    counter.observe(np.array([2 * i * 100 + 2 * i + 1 for i in range(50)], dtype=np.int64))
+    counter.observe(none)
     assert counter.events == 100
     assert counter.per_node.sum() == 200
     assert churn_rate(counter, 100, 1.0) == 1.0

@@ -155,18 +155,20 @@ def test_run_walk_times_out_when_disconnected():
 
 
 @pytest.mark.parametrize("n_nodes, seed, timed_out", [(60, 0, False), (100, 26, True)])
-def test_static_run_never_refreshes_and_matches_mobile_path(monkeypatch, n_nodes, seed,
-                                                             timed_out):
-    calls = {"refresh": 0, "edge_set": 0}
-    for name in calls:
-        def counted(self, _name=name, _original=getattr(DiskGraph, name)):
-            calls[_name] += 1
-            return _original(self)
-        monkeypatch.setattr(DiskGraph, name, counted)
+def test_static_run_never_snapshots_and_matches_mobile_path(monkeypatch, n_nodes, seed,
+                                                              timed_out):
+    calls = {"edge_keys": 0}
+    edge_keys = DiskGraph.edge_keys
+
+    def counted(self):
+        calls["edge_keys"] += 1
+        return edge_keys(self)
+
+    monkeypatch.setattr(DiskGraph, "edge_keys", counted)
     cfg = SimConfig(n_nodes=n_nodes, mobility_model="static", max_sim_time=60.0, seed=seed)
     cfg, provider, world, rng = build_run(cfg)
     static = run_walk(cfg, provider, world, rng)
-    assert calls == {"refresh": 0, "edge_set": 0}
+    assert calls == {"edge_keys": 0}
     assert static.timed_out == timed_out
     assert static.churn_rate == 0.0
 
@@ -174,7 +176,7 @@ def test_static_run_never_refreshes_and_matches_mobile_path(monkeypatch, n_nodes
     cfg, provider, world, rng = build_run(cfg)
     world.mobility = MobilityState("static", geometry_for(cfg).side, provider.positions)
     assert run_walk(cfg, provider, world, rng) == static
-    assert calls["refresh"] > 0 and calls["edge_set"] > 0
+    assert calls["edge_keys"] > 0
 
 
 def test_run_walk_static_complete_graph():
