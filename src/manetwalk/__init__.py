@@ -16,6 +16,6 @@ from .mobility import (MobilityState, NodeKinematics, init_deployment, step_all,
 from .walk import (Aggregate, Token, TraceEntry, VisitTable, World,
                    choose_next_pure_random, choose_next_self_repelling,
                    hop_pure_random, hop_self_repelling, introduce_token, run_walk,
-                   static_world, walk_graph)
+                   walk_graph)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Neighbor resolution: disk graphs, static oracle families, link churn.
 
 A disk graph is held as its node positions, read at query time, and its edges
-as sorted int64 keys i * N + j (i < j). Churn is the symmetric difference of
-two key snapshots.
+as sorted int64 keys i * N + j (i < j) from a sweep over renumbered y strips
+(disk_edges). Churn is the symmetric difference of two key snapshots.
 """
 
 from typing import Dict, Optional, Set, Tuple
@@ -133,25 +133,29 @@ class DiskGraph(NeighborProvider):
 def disk_edges(positions: np.ndarray, comm_range: float) -> np.ndarray:
     """All disk-graph edges as sorted int64 keys i * N + j with i < j.
 
-    Sweeps the nodes in x order: each node is paired with the later nodes
-    whose x lies in a band slightly wider than comm_range, and the same
-    closed-ball test as DiskGraph.neighbor_ids decides each pair.
+    Strip sweep: nodes sorted by (strip one reach high, x) pair with later nodes
+    of their strip and nodes of the next strip within reach in x, both ranges
+    from one searchsorted over rank * span + x. Strips are ranked 1 apart if
+    adjacent, else 2, so that key stays below 2N * span and keeps x within the
+    margin. The closed-ball test of DiskGraph.neighbor_ids decides each pair.
     """
     n = len(positions)
-    order = np.argsort(positions[:, 0], kind="stable")
-    xs = positions[order, 0]
-    ys = positions[order, 1]
-    # The margin covers rounding, so the band never drops a pair the exact test keeps.
-    reach = comm_range + 1e-9 * (comm_range + np.abs(xs).max(initial=0.0))
-    first = np.arange(1, n + 1)
-    stop = np.searchsorted(xs, xs + reach, side="right")
-    counts = stop - first
-    starts = np.cumsum(counts) - counts
-    a = np.repeat(np.arange(n), counts)
-    b = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
-    dx = xs[a] - xs[b]
-    dy = ys[a] - ys[b]
-    close = dx * dx + dy * dy <= comm_range * comm_range
+    extent = np.abs(positions).max(initial=0.0)
+    # The margin covers rounding, so the sweep never drops a pair the exact test keeps.
+    reach = comm_range + 1e-9 * (comm_range + extent)
+    span = 2.0 * extent + 4.0 * reach
+    strip = np.floor(positions[:, 1] / reach)
+    order = np.lexsort((positions[:, 0], strip))
+    xs, ys, strip = positions[order, 0], positions[order, 1], strip[order]
+    rank = np.cumsum(np.minimum(np.diff(strip, prepend=strip[:1]), 2.0))
+    key = rank * span + xs
+    stops = np.searchsorted(key, key + np.array([[reach], [span - reach], [span + reach]]))
+    starts = np.concatenate((np.arange(1, n + 1), stops[1]))
+    counts = np.concatenate((stops[0], stops[2])) - starts
+    a = np.repeat(np.tile(np.arange(n), 2), counts)
+    b = np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    dx, dy = xs[a] - xs[b], ys[a] - ys[b]
+    close = np.flatnonzero(dx * dx + dy * dy <= comm_range * comm_range)
     a, b = order[a[close]], order[b[close]]
     return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
 

@@ -160,10 +160,6 @@ class World:
     token: Optional[Token] = None  # the run's walker, set by run_walk
 
 
-def static_world(config: SimConfig, n_nodes: int) -> World:
-    return World(clock=Clock(config.tick), visits=VisitTable(n_nodes))
-
-
 def milestone_thresholds(milestones, n_nodes: int) -> List[Tuple[float, int]]:
     """Each target paired with the smallest unique-visit count that reaches it."""
     out = []

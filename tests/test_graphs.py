@@ -31,6 +31,45 @@ def keys_of(edges, n):
     return np.array(sorted(i * n + j for i, j in edges), dtype=np.int64)
 
 
+def brute_force_keys(positions, comm_range):
+    """All-pairs oracle for disk_edges, with the same closed-ball float expression."""
+    n = len(positions)
+    dx = positions[:, None, 0] - positions[None, :, 0]
+    dy = positions[:, None, 1] - positions[None, :, 1]
+    i, j = np.nonzero(np.triu(dx * dx + dy * dy <= comm_range * comm_range, k=1))
+    return np.sort(i * n + j).astype(np.int64)
+
+
+def x_band_disk_edges(positions, comm_range):
+    """The x-band sweep that the strip sweep replaced, kept as its reference."""
+    n = len(positions)
+    order = np.argsort(positions[:, 0], kind="stable")
+    xs = positions[order, 0]
+    ys = positions[order, 1]
+    reach = comm_range + 1e-9 * (comm_range + np.abs(xs).max(initial=0.0))
+    first = np.arange(1, n + 1)
+    stop = np.searchsorted(xs, xs + reach, side="right")
+    counts = stop - first
+    starts = np.cumsum(counts) - counts
+    a = np.repeat(np.arange(n), counts)
+    b = np.arange(int(counts.sum())) + np.repeat(first - starts, counts)
+    dx = xs[a] - xs[b]
+    dy = ys[a] - ys[b]
+    close = dx * dx + dy * dy <= comm_range * comm_range
+    a, b = order[a[close]], order[b[close]]
+    return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+
+
+def assert_edges_match_references(positions, r):
+    """disk_edges equals the x-band sweep and the all-pairs oracle: keys, dtype, order."""
+    keys = disk_edges(positions, r)
+    reference = x_band_disk_edges(positions, r)
+    assert keys.dtype == reference.dtype == np.int64
+    assert np.array_equal(keys, reference)
+    assert np.array_equal(keys, brute_force_keys(positions, r))
+    return keys
+
+
 def assert_matches_brute_force(positions, r):
     graph = DiskGraph(positions, r)
     n = len(positions)
@@ -38,8 +77,7 @@ def assert_matches_brute_force(positions, r):
         expected = sorted(brute_force_neighbors(positions, r, i))
         assert graph.neighbor_ids(i).tolist() == expected
     edges = brute_force_edges(positions, r)
-    keys = disk_edges(positions, r)
-    assert keys.dtype == np.int64
+    keys = assert_edges_match_references(positions, r)
     assert np.array_equal(keys, keys_of(edges, n))
     assert graph.edge_set() == edges
 
@@ -56,6 +94,57 @@ def test_disk_graph_matches_brute_force_on_half_integer_grid():
         d = positions[:, None, :] - positions[None, :, :]
         at_range += int(np.count_nonzero(d[:, :, 0] ** 2 + d[:, :, 1] ** 2 == r * r))
     assert at_range > 0
+
+
+def test_disk_edges_match_x_band_on_uniform_deployments():
+    rng = np.random.default_rng(9)
+    for n in (100, 300, 1000):
+        cfg = validate_config(SimConfig(n_nodes=n))
+        geom = geometry_for(cfg)
+        for _ in range(4):
+            positions = rng.uniform(0, geom.side, size=(n, 2))
+            assert assert_edges_match_references(positions, geom.comm_range).size > n
+
+
+def test_disk_edges_on_negative_grid_and_strip_boundaries():
+    # Half-integer coordinates put y within rounding of the strip edges
+    # (multiples of reach, just above R), make x and y tie, and put pairs at
+    # exactly R along both axes.
+    rng = np.random.default_rng(10)
+    at_range = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 120))
+        r = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
+        positions = rng.integers(-12, 12, size=(n, 2)) / 2.0
+        keys = assert_edges_match_references(positions, r)
+        lows, highs = np.divmod(keys, n)
+        d = positions[lows] - positions[highs]
+        at_range += int(np.count_nonzero((d * d).sum(axis=1) == r * r))
+    assert at_range > 0
+    for _ in range(20):
+        assert_edges_match_references(rng.uniform(-50.0, -10.0, size=(200, 2)), 4.0)
+
+
+def test_disk_edges_range_wider_than_the_square():
+    rng = np.random.default_rng(11)
+    for n in (2, 30, 200):
+        positions = rng.uniform(0, 10.0, size=(n, 2))
+        keys = assert_edges_match_references(positions, 25.0)
+        assert keys.size == n * (n - 1) // 2
+
+
+def test_disk_edges_small_range_far_from_origin():
+    # Raw strip indices reach 1e8 here; a key built from them loses x.
+    rng = np.random.default_rng(12)
+    edges = 0
+    for _ in range(300):
+        r = float(10 ** rng.uniform(-4, -1))
+        centers = rng.uniform(-1e4, 1e4, size=(int(rng.integers(1, 5)), 2))
+        n = int(rng.integers(2, 80))
+        positions = (centers[rng.integers(len(centers), size=n)]
+                     + rng.uniform(-3 * r, 3 * r, size=(n, 2)))
+        edges += assert_edges_match_references(positions, r).size
+    assert edges > 0
 
 
 def test_disk_graph_tiny_sizes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from manetwalk import harness
-from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
+from manetwalk.core import Clock, ConfigError, SimConfig, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph
 from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
                                SweepSpec, derive_seed, emit_csv, emit_trace,
@@ -14,7 +14,7 @@ from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
                                run_sweep, summarize, summarize_runs_csv,
                                sweep_points, validate_spec)
 from manetwalk.metrics import MilestoneSnapshot, RunRecord
-from manetwalk.walk import (choose_next_self_repelling, run_walk, static_world,
+from manetwalk.walk import (VisitTable, World, choose_next_self_repelling, run_walk,
                             walk_graph)
 
 FAST_BASE = SimConfig(n_nodes=40, milestones=(0.5, 1.0))
@@ -237,7 +237,7 @@ def test_trace_round_trip_and_replay(tmp_path):
 def test_trace_complete3_has_two_hop_lines(tmp_path):
     cfg = validate_config(SimConfig(n_nodes=3, comm_range=1.0, seed=1))
     provider = CompleteGraph(3)
-    world = static_world(cfg, 3)
+    world = World(clock=Clock(cfg.tick), visits=VisitTable(3))
     trace = []
     run_walk(cfg, provider, world, rng_stream(1, "walk"), trace=trace)
     assert len(trace) == 2

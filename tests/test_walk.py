@@ -11,7 +11,7 @@ from manetwalk.mobility import MobilityState
 from manetwalk.walk import (VisitTable, World, choose_next_pure_random,
                             choose_next_self_repelling, hop_pure_random,
                             hop_self_repelling, introduce_token, run_walk,
-                            static_world, walk_graph)
+                            walk_graph)
 
 
 def test_introduce_requires_nodes_and_clean_table():
@@ -179,10 +179,36 @@ def test_static_run_never_snapshots_and_matches_mobile_path(monkeypatch, n_nodes
     assert calls["edge_keys"] > 0
 
 
+def all_pairs_edge_keys(graph):
+    """Brute-force stand-in for DiskGraph.edge_keys: every pair, one closed-ball test."""
+    p, r = graph.positions, graph.comm_range
+    dx = p[:, None, 0] - p[None, :, 0]
+    dy = p[:, None, 1] - p[None, :, 1]
+    i, j = np.nonzero(np.triu(dx * dx + dy * dy <= r * r, k=1))
+    return (i * graph.n_nodes + j).astype(np.int64)
+
+
+@pytest.mark.parametrize("n_nodes", [20, 40])
+@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
+@pytest.mark.parametrize("strategy", ["self_repelling", "pure_random"])
+def test_whole_run_matches_all_pairs_edge_snapshots(monkeypatch, n_nodes, model, strategy):
+    cfg = SimConfig(n_nodes=n_nodes, mobility_model=model, walk_strategy=strategy,
+                    max_sim_time=40.0, seed=n_nodes + 1)
+    record = run_single(cfg)
+    assert record.churn_rate > 0
+    assert record.milestones
+    monkeypatch.setattr(DiskGraph, "edge_keys", all_pairs_edge_keys)
+    reference = run_single(cfg)
+    assert reference.milestones == record.milestones
+    assert reference.churn_rate == record.churn_rate
+    assert reference.waiting_ticks == record.waiting_ticks
+    assert reference == record
+
+
 def test_run_walk_static_complete_graph():
     cfg = validate_config(SimConfig(n_nodes=100, seed=8))
     provider = CompleteGraph(100)
-    world = static_world(cfg, 100)
+    world = World(clock=Clock(cfg.tick), visits=VisitTable(100))
     record = run_walk(cfg, provider, world, rng_stream(8, "walk"))
     final = record.milestones[-1]
     assert final.hops == 99
@@ -195,7 +221,7 @@ def test_run_walk_static_complete_graph():
 def test_run_walk_single_node():
     cfg = validate_config(SimConfig(n_nodes=1, comm_range=1.0, seed=3))
     provider = CompleteGraph(1)
-    world = static_world(cfg, 1)
+    world = World(clock=Clock(cfg.tick), visits=VisitTable(1))
     record = run_walk(cfg, provider, world, rng_stream(3, "walk"))
     assert not record.timed_out
     assert record.milestones[-1].hops == 0
@@ -260,7 +286,7 @@ def test_memoryless_decision_replay():
 def test_run_walk_hop_interval_paces_hops():
     cfg = validate_config(SimConfig(n_nodes=10, hop_interval=0.3, tick=0.1, seed=5))
     provider = CompleteGraph(10)
-    world = static_world(cfg, 10)
+    world = World(clock=Clock(cfg.tick), visits=VisitTable(10))
     record = run_walk(cfg, provider, world, rng_stream(5, "walk"))
     final = record.milestones[-1]
     assert final.hops == 9
