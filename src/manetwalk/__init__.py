@@ -5,14 +5,13 @@ from .core import (Clock, ConfigError, SimConfig, WorldGeometry, config_from,
                    validate_config)
 from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
                      NeighborProvider, PathGraph, TorusLattice, UnknownNodeError,
-                     disk_edges, is_connected)
+                     disk_edges)
 from .harness import (SummaryRow, SweepSpec, build_run, derive_seed, emit_csv,
                       emit_trace, figdata, parse_trace, read_sweep_file, run_single,
                       run_sweep, summarize, validate_spec)
-from .metrics import (MilestoneSnapshot, RunRecord, churn_rate, coverage,
-                      exploration_overhead, visit_histogram, visit_variance)
-from .mobility import (MobilityState, NodeKinematics, init_deployment, step_all,
-                       step_random_direction, step_random_waypoint)
+from .metrics import (MilestoneSnapshot, RunRecord, churn_rate, exploration_overhead,
+                      visit_histogram, visit_variance)
+from .mobility import MobilityState, init_deployment, step_all
 from .walk import (Aggregate, Token, TraceEntry, VisitTable, World,
                    choose_next_pure_random, choose_next_self_repelling,
                    hop_pure_random, hop_self_repelling, introduce_token, run_walk,

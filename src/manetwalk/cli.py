@@ -5,10 +5,10 @@ import os
 import sys
 from dataclasses import replace
 
-from .core import (CONFIG_PARSERS, ConfigError, SimConfig, config_from,
-                   read_config_file, rng_stream, validate_config)
-from .harness import (FIGURES, SweepSpec, emit_csv, emit_trace, figdata,
-                      read_sweep_file, run_single, run_sweep, summarize_runs_csv)
+from .core import CONFIG_PARSERS, ConfigError, SimConfig, config_from, read_config_file
+from .harness import (FIGURES, SweepSpec, build_run, emit_csv, emit_trace, figdata,
+                      read_sweep_file, run_sweep, summarize_runs_csv)
+from .walk import run_walk
 
 _CONFIG_HELP = {
     "n_nodes": "number of nodes",
@@ -81,12 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     file_values = read_config_file(args.config) if args.config else None
     flag_values = {key: getattr(args, key) for key in CONFIG_PARSERS}
-    config = validate_config(config_from(file_values, flag_values))
+    config, provider, world, walk_rng = build_run(config_from(file_values, flag_values))
     trace = [] if args.trace else None
-    record = run_single(config, trace=trace)
+    record = run_walk(config, provider, world, walk_rng, trace=trace)
     paths = emit_csv([record], args.out)
     if trace is not None:
-        start = int(rng_stream(config.seed, "walk").integers(config.n_nodes))
+        # The first attempt is made where the token was placed; with none, it is still there.
+        start = trace[0].node if trace else world.token.current_node
         trace_path = os.path.join(args.out, "trace.txt")
         emit_trace(trace, trace_path, config.n_nodes, config.seed, start)
         paths["trace"] = trace_path

@@ -24,9 +24,6 @@ class NeighborProvider:
     def neighbor_ids(self, node_id: int) -> np.ndarray:
         raise NotImplementedError
 
-    def neighbors(self, node_id: int) -> Set[int]:
-        return set(int(j) for j in self.neighbor_ids(node_id))
-
     def _check(self, node_id: int) -> None:
         if not 0 <= node_id < self.n_nodes:
             raise UnknownNodeError(f"node id {node_id} outside [0, {self.n_nodes})")
@@ -160,36 +157,13 @@ def disk_edges(positions: np.ndarray, comm_range: float) -> np.ndarray:
     return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
 
 
-def is_connected(positions: np.ndarray, comm_range: float) -> bool:
-    """True iff the disk graph over the positions has a single component."""
-    n = len(positions)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    components = n
-    lows, highs = np.divmod(disk_edges(positions, comm_range), n)
-    for a, b in zip(lows.tolist(), highs.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            components -= 1
-    return components <= 1
-
-
 class LinkEventCounter:
     """Counts disk-graph edge appearances and disappearances between snapshots."""
 
-    def __init__(self, n_nodes: int, period: float = 1.0):
-        self.n_nodes = n_nodes
+    def __init__(self, period: float = 1.0):
         self.period = period
         self.previous: Optional[np.ndarray] = None
         self.events = 0
-        self.per_node = np.zeros(n_nodes, dtype=np.int64)
         self.duration = 0.0
 
     def observe(self, keys: np.ndarray) -> None:
@@ -197,10 +171,6 @@ class LinkEventCounter:
         if self.previous is None:
             self.previous = keys
             return
-        changed = np.setxor1d(self.previous, keys, assume_unique=True)
-        self.events += changed.size
-        lows, highs = np.divmod(changed, self.n_nodes)
-        self.per_node += np.bincount(lows, minlength=self.n_nodes)
-        self.per_node += np.bincount(highs, minlength=self.n_nodes)
+        self.events += np.setxor1d(self.previous, keys, assume_unique=True).size
         self.previous = keys
         self.duration += self.period

@@ -70,15 +70,16 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
     if len(seeds) != len(points) * spec.replicates:
         raise ConfigError("seed derivation collided across the sweep grid")
     for p in points:
-        validate_config(point_config(spec, p, 0))
+        point_config(spec, p, 0)
     return spec
 
 
 def point_config(spec: SweepSpec, point: Point, replicate: int) -> SimConfig:
+    """The validated config of one run, so a failed run's record is normalized too."""
     n, speed, model, strategy = point
-    return replace(spec.base, n_nodes=n, speed_avg=speed, mobility_model=model,
-                   walk_strategy=strategy,
-                   seed=derive_seed(spec.seed_base, point, replicate))
+    return validate_config(replace(
+        spec.base, n_nodes=n, speed_avg=speed, mobility_model=model, walk_strategy=strategy,
+        seed=derive_seed(spec.seed_base, point, replicate)))
 
 
 def build_run(config: SimConfig):
@@ -160,8 +161,7 @@ class SummaryRow:
 
 
 def _point_of(config: SimConfig) -> Tuple:
-    return (config.n_nodes, config.density, config.mobility_model,
-            config.speed_avg, config.walk_strategy)
+    return tuple(getattr(config, c) for c in POINT_COLUMNS)
 
 
 def summarize(records: Iterable[RunRecord]) -> List[SummaryRow]:
@@ -216,44 +216,36 @@ def fmt(value) -> str:
     return str(value)
 
 
+def _cells(*values) -> List[str]:
+    return [fmt(v) for v in values]
+
+
 def run_rows(records: Iterable[RunRecord]) -> List[List[str]]:
     rows = []
     for rec in records:
-        c = rec.config
-        head = [fmt(c.n_nodes), fmt(c.density), c.mobility_model, fmt(c.speed_avg),
-                c.walk_strategy, fmt(rec.replicate), fmt(rec.seed), fmt(rec.timed_out),
-                fmt(rec.waiting_ticks), fmt(rec.churn_rate)]
+        head = _cells(*_point_of(rec.config), rec.replicate, rec.seed, rec.timed_out,
+                      rec.waiting_ticks, rec.churn_rate)
         for snap in rec.milestones:
-            rows.append(head + [fmt(snap.target_coverage), fmt(snap.achieved_coverage),
-                                fmt(snap.sim_time), fmt(snap.hops),
-                                fmt(snap.unique_visited), fmt(snap.overhead),
-                                fmt(snap.visit_variance)])
+            rows.append(head + _cells(snap.target_coverage, snap.achieved_coverage,
+                                      snap.sim_time, snap.hops, snap.unique_visited,
+                                      snap.overhead, snap.visit_variance))
     return rows
 
 
 def histogram_rows(records: Iterable[RunRecord]) -> List[List[str]]:
     rows = []
     for rec in records:
-        c = rec.config
-        head = [fmt(c.n_nodes), fmt(c.density), c.mobility_model, fmt(c.speed_avg),
-                c.walk_strategy, fmt(rec.replicate), fmt(rec.seed)]
+        head = _cells(*_point_of(rec.config), rec.replicate, rec.seed)
         for snap in rec.milestones:
             for visits in sorted(snap.histogram):
                 count = snap.histogram[visits]
-                rows.append(head + [fmt(snap.target_coverage), fmt(visits),
-                                    fmt(count), fmt(count / c.n_nodes)])
+                rows.append(head + _cells(snap.target_coverage, visits, count,
+                                          count / rec.config.n_nodes))
     return rows
 
 
 def summary_rows(summary: Iterable[SummaryRow]) -> List[List[str]]:
-    rows = []
-    for s in summary:
-        rows.append([fmt(s.n_nodes), fmt(s.density), s.mobility_model, fmt(s.speed_avg),
-                     s.walk_strategy, fmt(s.milestone), fmt(s.runs), fmt(s.completed),
-                     fmt(s.timed_out), fmt(s.failed), fmt(s.mean_overhead),
-                     fmt(s.std_overhead), fmt(s.mean_hops), fmt(s.mean_sim_time),
-                     fmt(s.mean_churn_rate)])
-    return rows
+    return [[fmt(getattr(s, c)) for c in SUMMARY_COLUMNS] for s in summary]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -369,24 +361,17 @@ def summarize_runs_csv(out_dir) -> str:
 
 # --- sweep spec files --------------------------------------------------------
 
-def _parse_int_list(text):
-    return tuple(int(x) for x in text.replace(",", " ").split())
-
-
-def _parse_float_list(text):
-    return tuple(float(x) for x in text.replace(",", " ").split())
-
-
-def _parse_str_list(text):
-    return tuple(x for x in text.replace(",", " ").split())
+def _list_of(parse):
+    """A parser for a comma- or space-separated list of `parse` values."""
+    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
 
 
 # Sweep file key -> (SweepSpec field, parser); every other key is a config key.
 SWEEP_KEYS = {
-    "sweep_n_nodes": ("n_nodes", _parse_int_list),
-    "sweep_speed_avg": ("speeds", _parse_float_list),
-    "sweep_mobility_model": ("models", _parse_str_list),
-    "sweep_walk_strategy": ("strategies", _parse_str_list),
+    "sweep_n_nodes": ("n_nodes", _list_of(int)),
+    "sweep_speed_avg": ("speeds", _list_of(float)),
+    "sweep_mobility_model": ("models", _list_of(str)),
+    "sweep_walk_strategy": ("strategies", _list_of(str)),
     "replicates": ("replicates", int),
     "seed_base": ("seed_base", int),
 }
@@ -405,7 +390,25 @@ def read_sweep_file(path) -> SweepSpec:
 
 # --- figure data -------------------------------------------------------------
 
-FIGURES = ("fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5")
+_SELF_REPELLING = {"walk_strategy": "self_repelling"}
+_SELF_REPELLING_FULL = {"walk_strategy": "self_repelling", "milestone": fmt(1.0)}
+
+# Figure id -> (source CSV, cells a row must hold, key columns). A summary layout
+# prints its key columns per row; a histogram layout averages node_count and
+# node_fraction per key.
+FIGURE_LAYOUTS = {
+    "fig1": ("histograms.csv", _SELF_REPELLING, ("milestone", "n_nodes", "visits")),
+    "fig2a": ("summary.csv", _SELF_REPELLING,
+              ("n_nodes", "milestone", "mean_overhead", "std_overhead")),
+    "fig2b": ("summary.csv", _SELF_REPELLING_FULL, ("n_nodes", "mean_overhead", "std_overhead")),
+    "fig3a": ("summary.csv", _SELF_REPELLING_FULL,
+              ("mobility_model", "n_nodes", "speed_avg", "mean_overhead")),
+    "fig3b": ("summary.csv", _SELF_REPELLING_FULL,
+              ("speed_avg", "n_nodes", "mobility_model", "mean_overhead")),
+    "fig4": ("histograms.csv", {"milestone": fmt(1.0)}, ("walk_strategy", "n_nodes", "visits")),
+    "fig5": ("summary.csv", {}, ("walk_strategy", "n_nodes", "milestone", "mean_overhead")),
+}
+FIGURES = tuple(FIGURE_LAYOUTS)
 
 
 def _read_csv(path) -> List[Dict[str, str]]:
@@ -425,54 +428,26 @@ def _group_mean(rows, keys, value_key):
 
 def figdata(fig_id: str, out_dir) -> str:
     """Extract gnuplot-ready plot columns for one named figure layout."""
-    if fig_id not in FIGURES:
+    if fig_id not in FIGURE_LAYOUTS:
         raise ConfigError(f"unknown figure id {fig_id!r}, expected one of {FIGURES}")
+    source, cells, keys = FIGURE_LAYOUTS[fig_id]
     dest = os.path.join(out_dir, f"{fig_id}.dat")
-    full = fmt(1.0)
-    if fig_id in ("fig1", "fig4"):
-        rows = _read_csv(os.path.join(out_dir, "histograms.csv"))
+    rows = [r for r in _read_csv(os.path.join(out_dir, source))
+            if all(r[c] == v for c, v in cells.items())]
+    if source == "histograms.csv":
         rows = [r for r in rows if r["visits"] != "0"]  # zero bin is a plot-layer exclusion
-        if fig_id == "fig1":
-            rows = [r for r in rows if r["walk_strategy"] == "self_repelling"]
-            keys = ("milestone", "n_nodes", "visits")
-            header = "milestone n_nodes visits mean_node_count mean_node_fraction"
-        else:
-            rows = [r for r in rows if r["milestone"] == full]
-            keys = ("walk_strategy", "n_nodes", "visits")
-            header = "walk_strategy n_nodes visits mean_node_count mean_node_fraction"
         counts = _group_mean(rows, keys, "node_count")
         fracs = _group_mean(rows, keys, "node_fraction")
+        header = keys + ("mean_node_count", "mean_node_fraction")
         out_rows = [list(k) + [fmt(counts[k]), fmt(fracs[k])]
                     for k in sorted(counts, key=_numeric_key)]
     else:
-        rows = _read_csv(os.path.join(out_dir, "summary.csv"))
-        rows = [r for r in rows if r["mean_overhead"] != ""]
-        if fig_id == "fig2a":
-            rows = [r for r in rows if r["walk_strategy"] == "self_repelling"]
-            cols = ("n_nodes", "milestone", "mean_overhead", "std_overhead")
-            header = " ".join(cols)
-        elif fig_id == "fig2b":
-            rows = [r for r in rows
-                    if r["walk_strategy"] == "self_repelling" and r["milestone"] == full]
-            cols = ("n_nodes", "mean_overhead", "std_overhead")
-            header = " ".join(cols)
-        elif fig_id == "fig3a":
-            rows = [r for r in rows
-                    if r["walk_strategy"] == "self_repelling" and r["milestone"] == full]
-            cols = ("mobility_model", "n_nodes", "speed_avg", "mean_overhead")
-            header = " ".join(cols)
-        elif fig_id == "fig3b":
-            rows = [r for r in rows
-                    if r["walk_strategy"] == "self_repelling" and r["milestone"] == full]
-            cols = ("speed_avg", "n_nodes", "mobility_model", "mean_overhead")
-            header = " ".join(cols)
-        else:  # fig5
-            cols = ("walk_strategy", "n_nodes", "milestone", "mean_overhead")
-            header = " ".join(cols)
-        out_rows = sorted(([r[c] for c in cols] for r in rows), key=_numeric_key)
+        header = keys
+        out_rows = sorted(([r[c] for c in keys] for r in rows if r["mean_overhead"] != ""),
+                          key=_numeric_key)
     try:
         with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(f"# {header}\n")
+            fh.write(f"# {' '.join(header)}\n")
             for row in out_rows:
                 fh.write(" ".join(row) + "\n")
     except OSError as exc:

@@ -1,4 +1,4 @@
-"""Quantitative outputs: coverage, exploration overhead, visit histograms, variance, churn."""
+"""Quantitative outputs: exploration overhead, visit histograms, variance, churn."""
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -7,11 +7,6 @@ import numpy as np
 
 from .core import SimConfig
 from .graphs import LinkEventCounter
-
-
-def coverage(visits, n_nodes: int) -> float:
-    """Fraction of nodes visited at least once."""
-    return visits.visited_count() / n_nodes
 
 
 def exploration_overhead(hops: int, unique_visited: int) -> float:
@@ -38,14 +33,10 @@ def visit_histogram(visits) -> Dict[int, int]:
 
 
 def churn_rate(counter: LinkEventCounter, n_nodes: int, duration: float) -> float:
-    """Link events per node per second.
-
-    Every edge event increments both endpoint counters, so the per-node sum is
-    divided by 2*N*T; equivalently, edge events divided by N*T.
-    """
+    """Link events per node per second: edge events divided by N*T."""
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration}")
-    return float(counter.per_node.sum()) / (2.0 * n_nodes * duration)
+    return counter.events / (n_nodes * duration)
 
 
 @dataclass

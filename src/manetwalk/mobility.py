@@ -1,8 +1,7 @@
 """Node kinematics: uniform deployment, random direction with reflection, random waypoint."""
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -10,18 +9,6 @@ from .core import SimConfig, WorldGeometry
 
 _TWO_PI = 2.0 * math.pi
 _EPOCH_EPS = 1e-9  # absorbs float dust when epoch timers cross zero
-
-
-@dataclass
-class NodeKinematics:
-    """Kinematic state of one node; only the fields of the active model are meaningful."""
-
-    position: Tuple[float, float]
-    heading: float = 0.0
-    speed: float = 0.0
-    epoch_remaining: float = 0.0
-    waypoint: Optional[Tuple[float, float]] = None
-    pause_remaining: float = 0.0
 
 
 class MobilityState:
@@ -44,18 +31,6 @@ class MobilityState:
     @property
     def n_nodes(self) -> int:
         return len(self.positions)
-
-    def node(self, i: int) -> NodeKinematics:
-        """Per-node snapshot, mainly for inspection and tests."""
-        wp = tuple(self.waypoints[i]) if self.has_waypoint[i] else None
-        return NodeKinematics(
-            position=(float(self.positions[i, 0]), float(self.positions[i, 1])),
-            heading=float(self.headings[i]),
-            speed=float(self.speeds[i]),
-            epoch_remaining=float(self.epoch_remaining[i]),
-            waypoint=wp,
-            pause_remaining=float(self.pause_remaining[i]),
-        )
 
 
 def init_deployment(config: SimConfig, geometry: WorldGeometry,
@@ -85,8 +60,6 @@ def init_deployment(config: SimConfig, geometry: WorldGeometry,
 
 def step_all(state: MobilityState, config: SimConfig) -> None:
     """Advance every node by one tick, in place."""
-    if state.model == "static":
-        return
     if state.model == "random_direction":
         _step_direction_all(state, config)
     elif state.model == "random_waypoint":
@@ -161,63 +134,3 @@ def _step_waypoint_all(state: MobilityState, config: SimConfig) -> None:
     if go.size:
         d = dist[~arrived]
         state.positions[go] += delta[~arrived] * (step[~arrived] / d)[:, None]
-
-
-# --- single-node transition functions ---------------------------------------
-#
-# These mirror the vectorized kernels one node at a time; tests cross-check
-# the two on draw-free trajectories.
-
-def _reflect(coord: float, heading: float, side: float, axis: int) -> Tuple[float, float]:
-    while coord < 0.0 or coord > side:
-        if coord < 0.0:
-            coord = -coord
-        else:
-            coord = 2.0 * side - coord
-        heading = math.pi - heading if axis == 0 else -heading
-    return coord, heading
-
-
-def step_random_direction(node: NodeKinematics, dt: float, side: float,
-                          speed_range: Tuple[float, float], direction_epoch: float,
-                          rng: np.random.Generator) -> NodeKinematics:
-    """One tick of random-direction motion with specular boundary reflection."""
-    x, y = node.position
-    x += node.speed * dt * math.cos(node.heading)
-    y += node.speed * dt * math.sin(node.heading)
-    heading = node.heading
-    x, heading = _reflect(x, heading, side, axis=0)
-    y, heading = _reflect(y, heading, side, axis=1)
-    node.position = (x, y)
-    node.heading = heading % _TWO_PI
-
-    node.epoch_remaining -= dt
-    if node.epoch_remaining <= _EPOCH_EPS:
-        node.heading = float(rng.uniform(0.0, _TWO_PI))
-        node.speed = float(rng.uniform(*speed_range))
-        node.epoch_remaining = direction_epoch
-    return node
-
-
-def step_random_waypoint(node: NodeKinematics, dt: float, side: float,
-                         speed_range: Tuple[float, float], pause_time: float,
-                         rng: np.random.Generator) -> NodeKinematics:
-    """One tick of random-waypoint motion: pause, resume, travel, snap on arrival."""
-    if node.pause_remaining > 0.0:
-        node.pause_remaining -= dt
-        return node
-    if node.waypoint is None:
-        node.waypoint = (float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side)))
-        node.speed = float(rng.uniform(*speed_range))
-    dx = node.waypoint[0] - node.position[0]
-    dy = node.waypoint[1] - node.position[1]
-    dist = math.hypot(dx, dy)
-    step = node.speed * dt
-    if dist <= step:
-        node.position = node.waypoint
-        node.waypoint = None
-        node.pause_remaining = pause_time
-    else:
-        node.position = (node.position[0] + dx / dist * step,
-                         node.position[1] + dy / dist * step)
-    return node

@@ -19,9 +19,6 @@ class VisitTable:
     def __init__(self, n_nodes: int):
         self.counts = np.zeros(n_nodes, dtype=np.int64)
 
-    def visited_count(self) -> int:
-        return int(np.count_nonzero(self.counts))
-
     def total(self) -> int:
         return int(self.counts.sum())
 
@@ -210,7 +207,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
 
     churn: Optional[LinkEventCounter] = None
     if world.mobility is not None:
-        churn = LinkEventCounter(n, period=link_every * config.tick)
+        churn = LinkEventCounter(period=link_every * config.tick)
         churn.observe(provider.edge_keys())
 
     waiting_ticks = 0

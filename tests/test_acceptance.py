@@ -185,7 +185,7 @@ def _measured_churn(n, speed, seed, seconds=30):
     geom = geometry_for(cfg)
     state = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
                             motion_rng=rng_stream(seed, "mobility"))
-    counter = LinkEventCounter(n, period=1.0)
+    counter = LinkEventCounter(period=1.0)
     counter.observe(disk_edges(state.positions, geom.comm_range))
     ticks_per_second = round(1.0 / cfg.tick)
     for _ in range(seconds):

@@ -3,6 +3,7 @@ import os
 import pytest
 
 from manetwalk.cli import main
+from manetwalk.core import rng_stream
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -55,6 +56,22 @@ def test_run_trace_written(tmp_path):
     lines = (out / "trace.txt").read_text().splitlines()
     assert lines[0].startswith("# n_nodes=30 seed=3 start=")
     assert any(l.endswith("moved") for l in lines)
+
+
+@pytest.mark.parametrize("max_sim_time, attempted", [("0.05", False), ("86400", True)])
+def test_run_trace_start_is_the_placement(tmp_path, max_sim_time, attempted):
+    # 0.05 s is less than one tick, so the token is placed but never tries to hop.
+    out = tmp_path / "out"
+    rc = main(["run", "--n_nodes", "30", "--seed", "3", "--trace",
+               "--max_sim_time", max_sim_time, "--out", str(out)])
+    assert rc == 0
+    lines = (out / "trace.txt").read_text().splitlines()
+    start = int(rng_stream(3, "walk").integers(30))  # the placement draw
+    assert lines[0] == f"# n_nodes=30 seed=3 start={start}"
+    body = [l for l in lines if not l.startswith("#")]
+    assert bool(body) == attempted
+    if attempted:
+        assert body[0].split()[1] == str(start)
 
 
 def test_bad_flag_exits_1(capsys):

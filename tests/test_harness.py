@@ -104,6 +104,27 @@ def test_sweep_records_failures_without_aborting(monkeypatch):
     assert not records[1].timed_out
 
 
+@pytest.mark.parametrize("failing", [0, 1])
+def test_failed_run_summary_uses_normalized_milestones(monkeypatch, failing):
+    # Raw milestones (1.0, 0.5, 0.5) validate to (0.5, 1.0), whichever replicate fails.
+    deploy = harness.init_deployment
+    spec = _spec(base=replace(FAST_BASE, milestones=(1.0, 0.5, 0.5)), n_nodes=(40,))
+    failing_seed = derive_seed(spec.seed_base, sweep_points(spec)[0], failing)
+
+    def failing_deploy(config, *args, **kwargs):
+        if config.seed == failing_seed:
+            raise RuntimeError("planted deployment failure")
+        return deploy(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "init_deployment", failing_deploy)
+    records = run_sweep(spec)
+    assert [r.error is not None for r in records] == [failing == 0, failing == 1]
+    assert all(r.config.milestones == (0.5, 1.0) for r in records)
+    rows = summarize(records)
+    assert [r.milestone for r in rows] == [0.5, 1.0]
+    assert all((r.runs, r.completed, r.failed) == (2, 1, 1) for r in rows)
+
+
 def _fake_record(overheads_by_target, timed_out=False, n=40, seed=1, replicate=0):
     cfg = validate_config(replace(FAST_BASE, n_nodes=n, seed=seed))
     snaps = [MilestoneSnapshot(t, t, 1.0, int(t * n), int(t * n), ov, {1: n}, 0.1)
@@ -285,6 +306,91 @@ def test_figdata_outputs(tmp_path):
         assert len(lines) > 1
     width = len(open(os.path.join(tmp_path, "fig2b.dat")).read().splitlines()[1].split())
     assert width == 3  # n_nodes mean_overhead std_overhead
+
+
+PINNED_SUMMARY = """\
+n_nodes,density,mobility_model,speed_avg,walk_strategy,milestone,runs,completed,timed_out,failed,mean_overhead,std_overhead,mean_hops,mean_sim_time,mean_churn_rate
+40,0.02,random_direction,7,self_repelling,0.5,2,2,0,0,1.1,0.1,21,2.1,0.5
+40,0.02,random_direction,7,self_repelling,1,2,2,0,0,1.5,0.2,59,5.9,0.5
+100,0.02,random_waypoint,3,self_repelling,1,1,1,0,0,1.25,0,124,12.4,0.25
+40,0.02,random_direction,7,pure_random,0.5,2,2,0,0,1.3,0.05,25,2.5,0.4
+40,0.02,random_direction,7,pure_random,1,2,0,2,0,,,,,
+"""
+
+PINNED_HISTOGRAMS = """\
+n_nodes,density,mobility_model,speed_avg,walk_strategy,replicate,seed,milestone,visits,node_count,node_fraction
+40,0.02,random_direction,7,self_repelling,0,11,0.5,0,20,0.5
+40,0.02,random_direction,7,self_repelling,0,11,0.5,1,20,0.5
+40,0.02,random_direction,7,self_repelling,1,12,0.5,0,18,0.45
+40,0.02,random_direction,7,self_repelling,1,12,0.5,1,21,0.525
+40,0.02,random_direction,7,self_repelling,1,12,0.5,2,1,0.025
+40,0.02,random_direction,7,self_repelling,0,11,1,1,38,0.95
+40,0.02,random_direction,7,self_repelling,0,11,1,2,2,0.05
+100,0.02,random_waypoint,3,self_repelling,0,13,1,1,100,1
+40,0.02,random_direction,7,pure_random,0,14,0.5,0,20,0.5
+40,0.02,random_direction,7,pure_random,0,14,0.5,2,10,0.25
+40,0.02,random_direction,7,pure_random,0,14,1,2,30,0.75
+40,0.02,random_direction,7,pure_random,0,14,1,10,10,0.25
+"""
+
+# Zero bins and the empty-mean pure_random row never reach a .dat file; keys
+# sort numerically (40 before 100, 2 before 10); histogram cells average over
+# the replicates that have the bin.
+PINNED_FIGURES = {
+    "fig1": """\
+# milestone n_nodes visits mean_node_count mean_node_fraction
+0.5 40 1 20.5 0.5125
+0.5 40 2 1 0.025
+1 40 1 38 0.95
+1 40 2 2 0.05
+1 100 1 100 1
+""",
+    "fig2a": """\
+# n_nodes milestone mean_overhead std_overhead
+40 0.5 1.1 0.1
+40 1 1.5 0.2
+100 1 1.25 0
+""",
+    "fig2b": """\
+# n_nodes mean_overhead std_overhead
+40 1.5 0.2
+100 1.25 0
+""",
+    "fig3a": """\
+# mobility_model n_nodes speed_avg mean_overhead
+random_direction 40 7 1.5
+random_waypoint 100 3 1.25
+""",
+    "fig3b": """\
+# speed_avg n_nodes mobility_model mean_overhead
+3 100 random_waypoint 1.25
+7 40 random_direction 1.5
+""",
+    "fig4": """\
+# walk_strategy n_nodes visits mean_node_count mean_node_fraction
+pure_random 40 2 30 0.75
+pure_random 40 10 10 0.25
+self_repelling 40 1 38 0.95
+self_repelling 40 2 2 0.05
+self_repelling 100 1 100 1
+""",
+    "fig5": """\
+# walk_strategy n_nodes milestone mean_overhead
+pure_random 40 0.5 1.3
+self_repelling 40 0.5 1.1
+self_repelling 40 1 1.5
+self_repelling 100 1 1.25
+""",
+}
+
+
+def test_figdata_layouts_pinned(tmp_path):
+    (tmp_path / "summary.csv").write_text(PINNED_SUMMARY)
+    (tmp_path / "histograms.csv").write_text(PINNED_HISTOGRAMS)
+    assert set(PINNED_FIGURES) == set(harness.FIGURES)
+    for fig, expected in PINNED_FIGURES.items():
+        with open(figdata(fig, tmp_path), encoding="utf-8") as fh:
+            assert fh.read() == expected, fig
 
 
 def test_figdata_unknown_id(tmp_path):

@@ -5,8 +5,8 @@ import pytest
 
 from manetwalk.core import SimConfig
 from manetwalk.graphs import CompleteGraph, LinkEventCounter
-from manetwalk.metrics import (churn_rate, coverage, exploration_overhead,
-                               visit_histogram, visit_variance)
+from manetwalk.metrics import (churn_rate, exploration_overhead, visit_histogram,
+                               visit_variance)
 from manetwalk.walk import VisitTable, walk_graph
 from manetwalk.core import rng_stream
 from manetwalk.harness import run_single
@@ -16,12 +16,6 @@ def _table(counts):
     visits = VisitTable(len(counts))
     visits.counts[:] = counts
     return visits
-
-
-def test_coverage_examples():
-    assert coverage(_table([0, 0, 3, 0]), 4) == 0.25
-    assert coverage(_table([1, 2, 0, 1]), 4) == 0.75
-    assert coverage(_table([1, 1, 1]), 3) == 1.0
 
 
 def test_overhead_examples():
@@ -70,7 +64,7 @@ def test_overhead_one_iff_duplicate_free():
 
 
 def test_churn_rate_zero_events():
-    counter = LinkEventCounter(10)
+    counter = LinkEventCounter()
     counter.observe(np.empty(0, dtype=np.int64))
     counter.observe(np.empty(0, dtype=np.int64))
     assert churn_rate(counter, 10, counter.duration) == 0.0
@@ -78,19 +72,30 @@ def test_churn_rate_zero_events():
 
 def test_churn_rate_convention():
     # 100 edge events over 1 s in a 100-node network -> 1.0 per node per second
-    counter = LinkEventCounter(100)
+    counter = LinkEventCounter()
     none = np.empty(0, dtype=np.int64)
     counter.observe(none)
     counter.observe(np.array([2 * i * 100 + 2 * i + 1 for i in range(50)], dtype=np.int64))
     counter.observe(none)
     assert counter.events == 100
-    assert counter.per_node.sum() == 200
     assert churn_rate(counter, 100, 1.0) == 1.0
+
+
+def test_churn_rate_matches_endpoint_count_form():
+    # events / (N*T) gives the same float as the sum of both endpoints' counts,
+    # 2*events, over 2*N*T: both sides are exactly doubled.
+    rng = np.random.default_rng(12)
+    counter = LinkEventCounter()
+    for _ in range(20000):
+        counter.events = int(rng.integers(0, 10**7))
+        n = int(rng.integers(2, 5000))
+        duration = float(rng.integers(1, 86400)) * float(rng.choice([0.1, 0.3, 1.0, 1.7]))
+        assert churn_rate(counter, n, duration) == float(2 * counter.events) / (2.0 * n * duration)
 
 
 def test_churn_rate_rejects_bad_duration():
     with pytest.raises(ValueError):
-        churn_rate(LinkEventCounter(5), 5, 0.0)
+        churn_rate(LinkEventCounter(), 5, 0.0)
 
 
 def test_milestone_overhead_is_monotone_in_runs():

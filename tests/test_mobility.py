@@ -1,14 +1,93 @@
 import math
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
-from manetwalk.mobility import (NodeKinematics, init_deployment, step_all,
-                                step_random_direction, step_random_waypoint)
+from manetwalk.mobility import _EPOCH_EPS, init_deployment, step_all
 
 TWO_PI = 2.0 * math.pi
+
+
+# --- scalar reference: the vectorized kernels, one node at a time ------------
+
+@dataclass
+class NodeKinematics:
+    """Kinematic state of one node; only the fields of the active model are meaningful."""
+
+    position: Tuple[float, float]
+    heading: float = 0.0
+    speed: float = 0.0
+    epoch_remaining: float = 0.0
+    waypoint: Optional[Tuple[float, float]] = None
+    pause_remaining: float = 0.0
+
+
+def node_of(state, i) -> NodeKinematics:
+    """Node i of a MobilityState as a scalar snapshot."""
+    wp = tuple(state.waypoints[i]) if state.has_waypoint[i] else None
+    return NodeKinematics(
+        position=(float(state.positions[i, 0]), float(state.positions[i, 1])),
+        heading=float(state.headings[i]),
+        speed=float(state.speeds[i]),
+        epoch_remaining=float(state.epoch_remaining[i]),
+        waypoint=wp,
+        pause_remaining=float(state.pause_remaining[i]),
+    )
+
+
+def _reflect(coord, heading, side, axis):
+    while coord < 0.0 or coord > side:
+        if coord < 0.0:
+            coord = -coord
+        else:
+            coord = 2.0 * side - coord
+        heading = math.pi - heading if axis == 0 else -heading
+    return coord, heading
+
+
+def step_random_direction(node, dt, side, speed_range, direction_epoch, rng):
+    """One tick of random-direction motion with specular boundary reflection."""
+    x, y = node.position
+    x += node.speed * dt * math.cos(node.heading)
+    y += node.speed * dt * math.sin(node.heading)
+    heading = node.heading
+    x, heading = _reflect(x, heading, side, axis=0)
+    y, heading = _reflect(y, heading, side, axis=1)
+    node.position = (x, y)
+    node.heading = heading % TWO_PI
+
+    node.epoch_remaining -= dt
+    if node.epoch_remaining <= _EPOCH_EPS:
+        node.heading = float(rng.uniform(0.0, TWO_PI))
+        node.speed = float(rng.uniform(*speed_range))
+        node.epoch_remaining = direction_epoch
+    return node
+
+
+def step_random_waypoint(node, dt, side, speed_range, pause_time, rng):
+    """One tick of random-waypoint motion: pause, resume, travel, snap on arrival."""
+    if node.pause_remaining > 0.0:
+        node.pause_remaining -= dt
+        return node
+    if node.waypoint is None:
+        node.waypoint = (float(rng.uniform(0.0, side)), float(rng.uniform(0.0, side)))
+        node.speed = float(rng.uniform(*speed_range))
+    dx = node.waypoint[0] - node.position[0]
+    dy = node.waypoint[1] - node.position[1]
+    dist = math.hypot(dx, dy)
+    step = node.speed * dt
+    if dist <= step:
+        node.position = node.waypoint
+        node.waypoint = None
+        node.pause_remaining = pause_time
+    else:
+        node.position = (node.position[0] + dx / dist * step,
+                         node.position[1] + dy / dist * step)
+    return node
 
 
 def _state(cfg, seed=0):
@@ -143,20 +222,12 @@ def test_random_direction_preserves_uniformity():
     assert chi2 < stats.chi2.ppf(0.99, 24)
 
 
-def test_static_model_never_moves():
-    cfg, _, state = _state(SimConfig(n_nodes=40, mobility_model="static"))
-    before = state.positions.copy()
-    for _ in range(50):
-        step_all(state, cfg)
-    assert np.array_equal(state.positions, before)
-
-
 def test_vectorized_matches_scalar_random_direction():
     # With epochs that never expire, no draws happen and the physics must agree.
     cfg, geom, state = _state(
         SimConfig(n_nodes=16, speed_avg=10.0, speed_halfwidth=2.0,
                   direction_epoch=1e9), seed=6)
-    nodes = [state.node(i) for i in range(state.n_nodes)]
+    nodes = [node_of(state, i) for i in range(state.n_nodes)]
     rng = rng_stream(0, "unused")
     for _ in range(300):
         step_all(state, cfg)
@@ -170,7 +241,7 @@ def test_vectorized_matches_scalar_random_direction():
 def test_vectorized_matches_scalar_random_waypoint():
     cfg, geom, state = _state(
         SimConfig(n_nodes=16, mobility_model="random_waypoint"), seed=6)
-    nodes = [state.node(i) for i in range(state.n_nodes)]
+    nodes = [node_of(state, i) for i in range(state.n_nodes)]
     rng = rng_stream(0, "unused")
     # Any node that arrives pauses for 2 s = 20 ticks, so 15 ticks draw nothing.
     for _ in range(15):

@@ -167,16 +167,23 @@ def test_static_run_never_snapshots_and_matches_mobile_path(monkeypatch, n_nodes
     monkeypatch.setattr(DiskGraph, "edge_keys", counted)
     cfg = SimConfig(n_nodes=n_nodes, mobility_model="static", max_sim_time=60.0, seed=seed)
     cfg, provider, world, rng = build_run(cfg)
+    deployed = provider.positions.copy()
     static = run_walk(cfg, provider, world, rng)
+    assert world.mobility is None
+    assert np.array_equal(provider.positions, deployed)  # a static world never moves
     assert calls == {"edge_keys": 0}
     assert static.timed_out == timed_out
     assert static.churn_rate == 0.0
 
-    # Reference: the same run with a MobilityState that never moves.
+    # Reference: the same run on the moving path, with every node at speed 0 and
+    # no epoch ever expiring, so each step adds 0.0 and the positions stay bit-identical.
     cfg, provider, world, rng = build_run(cfg)
-    world.mobility = MobilityState("static", geometry_for(cfg).side, provider.positions)
+    world.mobility = MobilityState("random_direction", geometry_for(cfg).side,
+                                   provider.positions)
+    world.mobility.epoch_remaining[:] = np.inf
     assert run_walk(cfg, provider, world, rng) == static
     assert calls["edge_keys"] > 0
+    assert np.array_equal(provider.positions, deployed)
 
 
 def all_pairs_edge_keys(graph):
@@ -234,7 +241,7 @@ def test_visit_sum_and_unique_invariants():
     record = run_walk(cfg, provider, world, rng)
     token = world.token
     assert world.visits.total() == token.hops + 1
-    assert world.visits.visited_count() == token.unique_visited
+    assert np.count_nonzero(world.visits.counts) == token.unique_visited
     assert token.unique_visited <= token.hops + 1
     hops = [s.hops for s in record.milestones]
     uniques = [s.unique_visited for s in record.milestones]
