@@ -3,30 +3,12 @@
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .core import CONFIG_PARSERS, ConfigError, SimConfig, config_from, read_config_file
 from .harness import (FIGURES, SweepSpec, build_run, emit_csv, emit_trace, figdata,
                       read_sweep_file, run_sweep, summarize_runs_csv)
 from .walk import run_walk
-
-_CONFIG_HELP = {
-    "n_nodes": "number of nodes",
-    "density": "nodes per square meter",
-    "mobility_model": "random_direction | random_waypoint | static",
-    "speed_avg": "average node speed, m/s",
-    "speed_halfwidth": "speeds are uniform in [avg-hw, avg+hw]",
-    "pause_time": "random-waypoint pause, seconds",
-    "direction_epoch": "random-direction heading lifetime, seconds",
-    "tick": "mobility integration step, seconds",
-    "hop_interval": "token hop attempt period, seconds",
-    "walk_strategy": "self_repelling | pure_random",
-    "seed": "run seed (64-bit integer)",
-    "max_sim_time": "safety cutoff, simulated seconds",
-    "milestones": "coverage fractions, e.g. '0.5,0.75,0.85,1.0'",
-    "comm_range": "override the derived communication range, meters",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the CLI contract reserves 2
@@ -37,9 +19,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser) -> None:
     group = parser.add_argument_group("config keys (override the config file)")
-    for key, parse in CONFIG_PARSERS.items():
-        group.add_argument(f"--{key}", type=parse, default=None,
-                           help=_CONFIG_HELP.get(key), metavar="V")
+    for key in fields(SimConfig):
+        group.add_argument(f"--{key.name}", type=key.metadata["parse"], default=None,
+                           help=key.metadata["help"], metavar="V")
 
 
 def build_parser() -> argparse.ArgumentParser:

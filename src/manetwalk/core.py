@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -18,24 +18,44 @@ class ConfigError(ValueError):
     """A configuration value violates an invariant."""
 
 
+def _parse_milestones(text: str) -> Tuple[float, ...]:
+    parts = [p for p in text.replace(",", " ").split() if p]
+    if not parts:
+        raise ValueError("empty milestone list")
+    return tuple(float(p) for p in parts)
+
+
+def _parse_comm_range(text: str) -> Optional[float]:
+    if text.lower() == "none":
+        return None
+    return float(text)
+
+
+def _key(default, parse, help_text: str):
+    """A config key: its default, the parser of its file value and flag, and its help."""
+    return field(default=default, metadata={"parse": parse, "help": help_text})
+
+
 @dataclass
 class SimConfig:
-    """All parameters of a single simulation run."""
+    """All parameters of a single simulation run; each field is a config key."""
 
-    n_nodes: int = 100
-    density: float = 0.02            # nodes per square meter
-    mobility_model: str = "random_direction"
-    speed_avg: float = 7.0           # m/s
-    speed_halfwidth: float = 2.0     # speeds drawn from [avg - hw, avg + hw]
-    pause_time: float = 2.0          # random-waypoint pause, seconds
-    direction_epoch: float = 1.0     # random-direction heading lifetime, seconds
-    tick: float = 0.1                # mobility integration step, seconds
-    hop_interval: float = 0.1        # token hop attempt period, seconds
-    walk_strategy: str = "self_repelling"
-    seed: int = 1
-    max_sim_time: float = 86400.0    # safety cutoff, seconds
-    milestones: Tuple[float, ...] = (0.5, 0.75, 0.85, 1.0)
-    comm_range: Optional[float] = None  # explicit override; None derives it from density
+    n_nodes: int = _key(100, int, "number of nodes")
+    density: float = _key(0.02, float, "nodes per square meter")
+    mobility_model: str = _key("random_direction", str, " | ".join(MOBILITY_MODELS))
+    speed_avg: float = _key(7.0, float, "average node speed, m/s")
+    speed_halfwidth: float = _key(2.0, float, "speeds are uniform in [avg-hw, avg+hw]")
+    pause_time: float = _key(2.0, float, "random-waypoint pause, seconds")
+    direction_epoch: float = _key(1.0, float, "random-direction heading lifetime, seconds")
+    tick: float = _key(0.1, float, "mobility integration step, seconds")
+    hop_interval: float = _key(0.1, float, "token hop attempt period, seconds")
+    walk_strategy: str = _key("self_repelling", str, " | ".join(WALK_STRATEGIES))
+    seed: int = _key(1, int, "run seed (64-bit integer)")
+    max_sim_time: float = _key(86400.0, float, "safety cutoff, simulated seconds")
+    milestones: Tuple[float, ...] = _key((0.5, 0.75, 0.85, 1.0), _parse_milestones,
+                                         "coverage fractions, e.g. '0.5,0.75,0.85,1.0'")
+    comm_range: Optional[float] = _key(None, _parse_comm_range,
+                                       "override the derived communication range, meters")
 
     @property
     def speed_min(self) -> float:
@@ -163,35 +183,7 @@ def validate_config(config: SimConfig) -> SimConfig:
 
 # --- flat key = value config files -----------------------------------------
 
-def _parse_milestones(text: str) -> Tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty milestone list")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_comm_range(text: str) -> Optional[float]:
-    if text.lower() == "none":
-        return None
-    return float(text)
-
-
-CONFIG_PARSERS = {
-    "n_nodes": int,
-    "density": float,
-    "mobility_model": str,
-    "speed_avg": float,
-    "speed_halfwidth": float,
-    "pause_time": float,
-    "direction_epoch": float,
-    "tick": float,
-    "hop_interval": float,
-    "walk_strategy": str,
-    "seed": int,
-    "max_sim_time": float,
-    "milestones": _parse_milestones,
-    "comm_range": _parse_comm_range,
-}
+CONFIG_PARSERS = {f.name: f.metadata["parse"] for f in fields(SimConfig)}
 
 
 def parse_config_lines(lines, source="<config>", parsers=None) -> Dict[str, object]:

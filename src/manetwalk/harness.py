@@ -3,15 +3,15 @@
 import csv
 import hashlib
 import os
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CONFIG_PARSERS, MOBILITY_MODELS, WALK_STRATEGIES, ConfigError,
-                   SimConfig, geometry_for, parse_config_lines, rng_stream,
-                   validate_config)
+from .core import (CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig, geometry_for,
+                   parse_config_lines, rng_stream, validate_config)
 from .graphs import DiskGraph
 from .metrics import MilestoneSnapshot, RunRecord
 from .mobility import init_deployment
@@ -59,12 +59,6 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
         raise ConfigError(f"replicates must be >= 1, got {spec.replicates}")
     if not spec.n_nodes or not spec.speeds or not spec.models or not spec.strategies:
         raise ConfigError("every sweep axis needs at least one value")
-    for m in spec.models:
-        if m not in MOBILITY_MODELS:
-            raise ConfigError(f"unknown mobility_model in sweep axis: {m!r}")
-    for s in spec.strategies:
-        if s not in WALK_STRATEGIES:
-            raise ConfigError(f"unknown walk_strategy in sweep axis: {s!r}")
     points = sweep_points(spec)
     seeds = {derive_seed(spec.seed_base, p, r) for p in points for r in range(spec.replicates)}
     if len(seeds) != len(points) * spec.replicates:
@@ -139,25 +133,8 @@ SUMMARY_COLUMNS = POINT_COLUMNS + (
     "mean_overhead", "std_overhead", "mean_hops", "mean_sim_time", "mean_churn_rate")
 
 
-@dataclass
-class SummaryRow:
-    """Aggregate over the completed replicates of one sweep point at one milestone."""
-
-    n_nodes: int
-    density: float
-    mobility_model: str
-    speed_avg: float
-    walk_strategy: str
-    milestone: float
-    runs: int
-    completed: int
-    timed_out: int
-    failed: int
-    mean_overhead: Optional[float]
-    std_overhead: Optional[float]
-    mean_hops: Optional[float]
-    mean_sim_time: Optional[float]
-    mean_churn_rate: Optional[float]
+# Aggregate over the completed replicates of one sweep point at one milestone.
+SummaryRow = namedtuple("SummaryRow", SUMMARY_COLUMNS)
 
 
 def _point_of(config: SimConfig) -> Tuple:
@@ -193,11 +170,8 @@ def summarize(records: Iterable[RunRecord]) -> List[SummaryRow]:
                 mean_churn = float(np.mean([r.churn_rate for r in complete]))
             else:
                 mean_ov = std_ov = mean_hops = mean_time = mean_churn = None
-            rows.append(SummaryRow(*key, milestone=target, runs=len(group),
-                                   completed=len(complete), timed_out=timed_out,
-                                   failed=failed, mean_overhead=mean_ov,
-                                   std_overhead=std_ov, mean_hops=mean_hops,
-                                   mean_sim_time=mean_time, mean_churn_rate=mean_churn))
+            rows.append(SummaryRow(*key, target, len(group), len(complete), timed_out, failed,
+                                   mean_ov, std_ov, mean_hops, mean_time, mean_churn))
     return rows
 
 
@@ -245,7 +219,7 @@ def histogram_rows(records: Iterable[RunRecord]) -> List[List[str]]:
 
 
 def summary_rows(summary: Iterable[SummaryRow]) -> List[List[str]]:
-    return [[fmt(getattr(s, c)) for c in SUMMARY_COLUMNS] for s in summary]
+    return [[fmt(v) for v in s] for s in summary]
 
 
 def _write_csv(path, header, rows) -> None:
@@ -330,8 +304,8 @@ def _records_from_runs_csv(path) -> List[RunRecord]:
         point = tuple(row[c] for c in POINT_COLUMNS)
         key = point + (row["replicate"], row["seed"])
         if key not in records:
-            config = SimConfig(int(point[0]), float(point[1]), point[2], float(point[3]),
-                               walk_strategy=point[4], seed=int(row["seed"]))
+            config = SimConfig(**{c: CONFIG_PARSERS[c](row[c]) for c in POINT_COLUMNS},
+                               seed=int(row["seed"]))
             records[key] = RunRecord(config, config.seed, timed_out=row["timed_out"] == "1",
                                      churn_rate=float(row["churn_rate"]),
                                      waiting_ticks=int(row["waiting_ticks"]),

@@ -59,8 +59,7 @@ def _attr(attributes: Optional[np.ndarray], node_id: int) -> float:
     return float(node_id) if attributes is None else float(attributes[node_id])
 
 
-def introduce_token(provider: NeighborProvider, n_nodes: int, visits: VisitTable,
-                    rng: np.random.Generator,
+def introduce_token(n_nodes: int, visits: VisitTable, rng: np.random.Generator,
                     attributes: Optional[np.ndarray] = None) -> Token:
     """Place a fresh token on a uniformly random node; the placement counts as a visit."""
     if n_nodes < 1:
@@ -195,7 +194,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     n = provider.n_nodes
     visits = world.visits
     clock = world.clock
-    token = introduce_token(provider, n, visits, rng, world.attributes)
+    token = introduce_token(n, visits, rng, world.attributes)
     world.token = token
 
     thresholds = milestone_thresholds(config.milestones, n)
@@ -256,7 +255,7 @@ def walk_graph(provider: NeighborProvider, rng: np.random.Generator,
         raise ValueError("walk_graph needs max_hops when stop_at_coverage is False")
     n = provider.n_nodes
     visits = VisitTable(n)
-    token = introduce_token(provider, n, visits, rng, attributes)
+    token = introduce_token(n, visits, rng, attributes)
     hop = HOP_FUNCS[strategy]
     while not (stop_at_coverage and token.unique_visited >= n):
         if max_hops is not None and token.hops >= max_hops:

@@ -5,9 +5,7 @@ results are bit-reproducible; the wall-clock bounds assume an unloaded
 desktop-class machine.
 """
 
-import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest

@@ -1,9 +1,10 @@
-import os
+import argparse
+from dataclasses import fields
 
 import pytest
 
-from manetwalk.cli import main
-from manetwalk.core import rng_stream
+from manetwalk.cli import build_parser, main
+from manetwalk.core import CONFIG_PARSERS, SimConfig, rng_stream
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -72,6 +73,19 @@ def test_run_trace_start_is_the_placement(tmp_path, max_sim_time, attempted):
     assert bool(body) == attempted
     if attempted:
         assert body[0].split()[1] == str(start)
+
+
+def test_every_config_key_has_a_flag_with_help():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run = sub.choices["run"]
+    group = next(g for g in run._action_groups if g.title.startswith("config keys"))
+    names = [f.name for f in fields(SimConfig)]
+    assert [a.option_strings for a in group._group_actions] == [[f"--{n}"] for n in names]
+    assert list(CONFIG_PARSERS) == names
+    for action in group._group_actions:
+        assert action.help and action.help.strip(), action.dest
+        assert action.type is CONFIG_PARSERS[action.dest]
+        assert action.default is None
 
 
 def test_bad_flag_exits_1(capsys):

@@ -14,8 +14,7 @@ from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
                                run_sweep, summarize, summarize_runs_csv,
                                sweep_points, validate_spec)
 from manetwalk.metrics import MilestoneSnapshot, RunRecord
-from manetwalk.walk import (VisitTable, World, choose_next_self_repelling, run_walk,
-                            walk_graph)
+from manetwalk.walk import VisitTable, World, choose_next_self_repelling, run_walk
 
 FAST_BASE = SimConfig(n_nodes=40, milestones=(0.5, 1.0))
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from manetwalk.core import Clock, SimConfig, geometry_for, rng_stream, validate_config
+from manetwalk import walk
+from manetwalk.core import (MOBILITY_MODELS, WALK_STRATEGIES, Clock, SimConfig, geometry_for,
+                            rng_stream, validate_config)
 from manetwalk.graphs import CompleteGraph, CycleGraph, DiskGraph, PathGraph
 from manetwalk.harness import build_run, run_single
 from manetwalk.mobility import MobilityState
@@ -16,11 +18,11 @@ from manetwalk.walk import (VisitTable, World, choose_next_pure_random,
 
 def test_introduce_requires_nodes_and_clean_table():
     with pytest.raises(ValueError):
-        introduce_token(CompleteGraph(1), 0, VisitTable(0), rng_stream(0, "walk"))
+        introduce_token(0, VisitTable(0), rng_stream(0, "walk"))
     visits = VisitTable(3)
     visits.counts[1] = 1
     with pytest.raises(ValueError):
-        introduce_token(CompleteGraph(3), 3, visits, rng_stream(0, "walk"))
+        introduce_token(3, visits, rng_stream(0, "walk"))
 
 
 def test_introduce_single_node_is_full_coverage():
@@ -33,7 +35,7 @@ def test_introduce_single_node_is_full_coverage():
 
 def test_introduce_counts_one_visit():
     visits = VisitTable(10)
-    token = introduce_token(CompleteGraph(10), 10, visits, rng_stream(7, "walk"))
+    token = introduce_token(10, visits, rng_stream(7, "walk"))
     assert visits.total() == 1
     assert visits.counts[token.current_node] == 1
     assert token.aggregate.count == 1
@@ -43,10 +45,9 @@ def test_introduce_counts_one_visit():
 def test_introduce_start_node_uniform():
     n = 1000
     counts = np.zeros(n, dtype=np.int64)
-    provider = CompleteGraph(n)
     for seed in range(100000):
         visits = VisitTable(n)
-        token = introduce_token(provider, n, visits, rng_stream(seed, "walk"))
+        token = introduce_token(n, visits, rng_stream(seed, "walk"))
         counts[token.current_node] += 1
     _, p = stats.chisquare(counts)
     assert p > 0.01
@@ -77,7 +78,7 @@ def test_cycle_cover_is_exact_and_unidirectional():
         provider = CycleGraph(n)
         visits = VisitTable(n)
         rng = rng_stream(seed, "walk")
-        token = introduce_token(provider, n, visits, rng)
+        token = introduce_token(n, visits, rng)
         path = [token.current_node]
         while token.unique_visited < n:
             assert hop_self_repelling(token, provider, visits, rng)
@@ -92,7 +93,7 @@ def test_pure_random_single_neighbor():
     provider = PathGraph(2)
     visits = VisitTable(2)
     rng = rng_stream(0, "walk")
-    token = introduce_token(provider, 2, visits, rng)
+    token = introduce_token(2, visits, rng)
     assert hop_pure_random(token, provider, visits, rng)
     assert token.unique_visited == 2
 
@@ -110,7 +111,7 @@ def test_pure_random_cycle_transitions_balanced():
     provider = CycleGraph(4)
     visits = VisitTable(4)
     rng = rng_stream(9, "walk")
-    token = introduce_token(provider, 4, visits, rng)
+    token = introduce_token(4, visits, rng)
     forward = 0
     for _ in range(10000):
         prev = token.current_node
@@ -133,7 +134,7 @@ def test_stranded_changes_nothing():
     provider = DiskGraph(positions, 1.0)
     visits = VisitTable(2)
     rng = rng_stream(1, "walk")
-    token = introduce_token(provider, 2, visits, rng)
+    token = introduce_token(2, visits, rng)
     before = (token.current_node, token.hops, token.unique_visited,
               token.aggregate.count, visits.total())
     for _ in range(5):
@@ -186,30 +187,89 @@ def test_static_run_never_snapshots_and_matches_mobile_path(monkeypatch, n_nodes
     assert np.array_equal(provider.positions, deployed)
 
 
-def all_pairs_edge_keys(graph):
-    """Brute-force stand-in for DiskGraph.edge_keys: every pair, one closed-ball test."""
+def all_pairs_ball(graph):
+    """Every pair's closed-ball test on the graph's current positions, no self-loops."""
     p, r = graph.positions, graph.comm_range
     dx = p[:, None, 0] - p[None, :, 0]
     dy = p[:, None, 1] - p[None, :, 1]
-    i, j = np.nonzero(np.triu(dx * dx + dy * dy <= r * r, k=1))
+    ball = dx * dx + dy * dy <= r * r
+    np.fill_diagonal(ball, False)
+    return ball
+
+
+def all_pairs_edge_keys(graph):
+    """Brute-force stand-in for DiskGraph.edge_keys."""
+    i, j = np.nonzero(np.triu(all_pairs_ball(graph), k=1))
     return (i * graph.n_nodes + j).astype(np.int64)
+
+
+def all_pairs_neighbor_ids(graph, node_id):
+    """Brute-force stand-in for DiskGraph.neighbor_ids: one row of the all-pairs ball."""
+    return np.flatnonzero(all_pairs_ball(graph)[node_id])
+
+
+def listed_self_repelling(neighbor_ids, visit_counts, rng):
+    """List-based least-visited choice, with the production draw on a tie only."""
+    counts = visit_counts.tolist()
+    least = min(counts)
+    ties = [i for i, c in zip(neighbor_ids.tolist(), counts) if c == least]
+    return ties[0] if len(ties) == 1 else ties[int(rng.integers(len(ties)))]
+
+
+def listed_pure_random(neighbor_ids, visit_counts, rng):
+    """List-based uniform choice, with the production draw when there is a choice."""
+    ids = neighbor_ids.tolist()
+    return ids[0] if len(ids) == 1 else ids[int(rng.integers(len(ids)))]
+
+
+def reference_run(cfg):
+    """run_single with all-pairs neighbor queries and edge snapshots and list decisions.
+
+    Mobility, churn counting and the RNG streams stay the production ones.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(DiskGraph, "edge_keys", all_pairs_edge_keys)
+        patch.setattr(DiskGraph, "neighbor_ids", all_pairs_neighbor_ids)
+        patch.setattr(walk, "choose_next_self_repelling", listed_self_repelling)
+        patch.setattr(walk, "choose_next_pure_random", listed_pure_random)
+        return run_single(cfg)
 
 
 @pytest.mark.parametrize("n_nodes", [20, 40])
 @pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
 @pytest.mark.parametrize("strategy", ["self_repelling", "pure_random"])
-def test_whole_run_matches_all_pairs_edge_snapshots(monkeypatch, n_nodes, model, strategy):
+def test_whole_run_matches_all_pairs_edge_snapshots(n_nodes, model, strategy):
     cfg = SimConfig(n_nodes=n_nodes, mobility_model=model, walk_strategy=strategy,
                     max_sim_time=40.0, seed=n_nodes + 1)
     record = run_single(cfg)
     assert record.churn_rate > 0
     assert record.milestones
-    monkeypatch.setattr(DiskGraph, "edge_keys", all_pairs_edge_keys)
-    reference = run_single(cfg)
+    reference = reference_run(cfg)
     assert reference.milestones == record.milestones
     assert reference.churn_rate == record.churn_rate
     assert reference.waiting_ticks == record.waiting_ticks
     assert reference == record
+
+
+# Sparse N=20 worlds: mobile tokens strand and wait, some runs time out, and static
+# runs cover only their component (seed 21) or never leave an isolated start (seed 25).
+SPARSE_CASES = [SimConfig(n_nodes=20, comm_range=r, mobility_model=m, walk_strategy=s,
+                          max_sim_time=40.0, seed=21)
+                for r in (5.0, 7.0) for m in MOBILITY_MODELS for s in WALK_STRATEGIES]
+SPARSE_CASES.append(SimConfig(n_nodes=20, comm_range=5.0, mobility_model="static",
+                              max_sim_time=40.0, seed=25))
+
+
+def test_sparse_whole_runs_match_the_reference():
+    records = [run_single(cfg) for cfg in SPARSE_CASES]
+    for cfg, record in zip(SPARSE_CASES, records):
+        assert reference_run(cfg) == record, cfg
+    mobile = [r for r in records if r.config.mobility_model != "static"]
+    assert any(r.waiting_ticks > 0 for r in mobile)
+    assert any(r.timed_out for r in mobile)
+    static = [r for r in records if r.config.mobility_model == "static"]
+    assert len(static) == 5 and all(r.timed_out for r in static)
+    assert static[-1].waiting_ticks == 400  # stranded on every attempt
 
 
 def test_run_walk_static_complete_graph():
