@@ -1,8 +1,7 @@
 """Deterministic simulator of self-repelling random walks on mobile ad-hoc networks."""
 
-from .core import (Clock, ConfigError, SimConfig, WorldGeometry, config_from,
-                   derive_geometry, geometry_for, read_config_file, rng_stream,
-                   validate_config)
+from .core import (ConfigError, SimConfig, WorldGeometry, config_from, geometry_for,
+                   read_config_file, rng_stream, validate_config)
 from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
                      NeighborProvider, PathGraph, TorusLattice, UnknownNodeError,
                      disk_edges)

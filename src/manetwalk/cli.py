@@ -20,8 +20,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(parser) -> None:
     group = parser.add_argument_group("config keys (override the config file)")
     for key in fields(SimConfig):
-        group.add_argument(f"--{key.name}", type=key.metadata["parse"], default=None,
-                           help=key.metadata["help"], metavar="V")
+        group.add_argument(f"--{key.name}", type=key.metadata["parse"],
+                           default=argparse.SUPPRESS, help=key.metadata["help"], metavar="V")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,11 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a sweep grid with replicates")
     p_sweep.add_argument("--spec", help="sweep spec file (config keys + sweep_* axes)")
-    preset = p_sweep.add_mutually_exclusive_group()
-    preset.add_argument("--desk", action="store_true",
-                        help="cap the grid at N=500 and 5 replicates")
-    preset.add_argument("--full", action="store_true",
-                        help="the full default grid including N=1000")
+    p_sweep.add_argument("--desk", action="store_true",
+                         help="cap the grid at N=500 and 5 replicates")
     p_sweep.add_argument("--replicates", type=int, help="override replicate count")
     p_sweep.add_argument("--seed_base", type=int, help="override the sweep seed base")
     p_sweep.add_argument("--workers", type=int, default=1,
@@ -62,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     file_values = read_config_file(args.config) if args.config else None
-    flag_values = {key: getattr(args, key) for key in CONFIG_PARSERS}
+    # Only the flags on the command line are in args (their default is SUPPRESS).
+    flag_values = {key: value for key, value in vars(args).items() if key in CONFIG_PARSERS}
     config, provider, world, walk_rng = build_run(config_from(file_values, flag_values))
     trace = [] if args.trace else None
     record = run_walk(config, provider, world, walk_rng, trace=trace)

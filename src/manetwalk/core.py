@@ -1,4 +1,4 @@
-"""Run configuration, world geometry, deterministic RNG streams, and the tick clock."""
+"""Run configuration, world geometry, and deterministic RNG streams."""
 
 import hashlib
 import math
@@ -18,11 +18,14 @@ class ConfigError(ValueError):
     """A configuration value violates an invariant."""
 
 
-def _parse_milestones(text: str) -> Tuple[float, ...]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise ValueError("empty milestone list")
-    return tuple(float(p) for p in parts)
+def list_of(parse):
+    """A parser for a non-empty comma- or space-separated list of `parse` values."""
+    def parse_list(text: str) -> tuple:
+        parts = text.replace(",", " ").split()
+        if not parts:
+            raise ValueError("empty list")
+        return tuple(parse(p) for p in parts)
+    return parse_list
 
 
 def _parse_comm_range(text: str) -> Optional[float]:
@@ -52,7 +55,7 @@ class SimConfig:
     walk_strategy: str = _key("self_repelling", str, " | ".join(WALK_STRATEGIES))
     seed: int = _key(1, int, "run seed (64-bit integer)")
     max_sim_time: float = _key(86400.0, float, "safety cutoff, simulated seconds")
-    milestones: Tuple[float, ...] = _key((0.5, 0.75, 0.85, 1.0), _parse_milestones,
+    milestones: Tuple[float, ...] = _key((0.5, 0.75, 0.85, 1.0), list_of(float),
                                          "coverage fractions, e.g. '0.5,0.75,0.85,1.0'")
     comm_range: Optional[float] = _key(None, _parse_comm_range,
                                        "override the derived communication range, meters")
@@ -75,21 +78,6 @@ class WorldGeometry:
     comm_range: float  # meters
 
 
-@dataclass
-class Clock:
-    """Simulation clock that accumulates whole ticks, never floating sums."""
-
-    tick: float
-    tick_index: int = 0
-
-    @property
-    def now(self) -> float:
-        return self.tick_index * self.tick
-
-    def advance(self) -> None:
-        self.tick_index += 1
-
-
 def rng_stream(seed: int, label: str) -> np.random.Generator:
     """Deterministic generator for one named consumer of the run seed.
 
@@ -102,28 +90,22 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & _U64, label_key]))
 
 
-def derive_geometry(n_nodes: int, density: float) -> WorldGeometry:
-    """Deployment area and communication range at the connectivity threshold.
-
-    Uses area = N / rho and R = sqrt(ln(N) / rho) (natural logarithm), so the
-    disk graph over the deployment stays connected with high probability.
-    """
-    if n_nodes < 2:
-        raise ConfigError("n_nodes must be >= 2 to derive a communication range (ln(1) = 0)")
-    if density <= 0:
-        raise ConfigError(f"density must be positive, got {density}")
-    area = n_nodes / density
-    side = math.sqrt(area)
-    comm_range = math.sqrt(math.log(n_nodes) / density)
-    return WorldGeometry(side=side, area=area, comm_range=comm_range)
-
-
 def geometry_for(config: SimConfig) -> WorldGeometry:
-    """Geometry for a run, honoring an explicit comm_range override."""
-    if config.comm_range is None:
-        return derive_geometry(config.n_nodes, config.density)
+    """Deployment area and communication range of a run.
+
+    Uses area = N / rho and, unless comm_range overrides it, R = sqrt(ln(N) / rho)
+    (natural logarithm), so the disk graph over the deployment stays connected
+    with high probability.
+    """
+    if config.density <= 0:
+        raise ConfigError(f"density must be positive, got {config.density}")
+    comm_range = config.comm_range
+    if comm_range is None:
+        if config.n_nodes < 2:
+            raise ConfigError("n_nodes must be >= 2 to derive a communication range (ln(1) = 0)")
+        comm_range = math.sqrt(math.log(config.n_nodes) / config.density)
     area = config.n_nodes / config.density
-    return WorldGeometry(side=math.sqrt(area), area=area, comm_range=config.comm_range)
+    return WorldGeometry(side=math.sqrt(area), area=area, comm_range=comm_range)
 
 
 def _is_tick_multiple(interval: float, tick: float) -> bool:
@@ -214,14 +196,12 @@ def read_config_file(path) -> Dict[str, object]:
 
 
 def config_from(file_values=None, flag_values=None) -> SimConfig:
-    """Build a SimConfig from defaults, then file values, then CLI flags (flags win)."""
-    merged: Dict[str, object] = {}
-    for source in (file_values, flag_values):
-        if source:
-            merged.update({k: v for k, v in source.items() if v is not None})
+    """Build a SimConfig from defaults, then file values, then CLI flags (flags win).
+
+    A winning None, such as a `--comm_range none` flag, takes the key's default.
+    """
+    merged = {**(file_values or {}), **(flag_values or {})}
     unknown = set(merged) - set(CONFIG_PARSERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "milestones" in merged:
-        merged["milestones"] = tuple(merged["milestones"])
-    return SimConfig(**merged)
+    return SimConfig(**{k: v for k, v in merged.items() if v is not None})

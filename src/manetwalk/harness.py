@@ -11,11 +11,11 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig, geometry_for,
-                   parse_config_lines, rng_stream, validate_config)
+                   list_of, parse_config_lines, rng_stream, validate_config)
 from .graphs import DiskGraph
 from .metrics import MilestoneSnapshot, RunRecord
 from .mobility import init_deployment
-from .walk import Clock, TraceEntry, VisitTable, World, run_walk
+from .walk import TraceEntry, VisitTable, World, run_walk
 
 _U64 = (1 << 64) - 1
 
@@ -84,7 +84,7 @@ def build_run(config: SimConfig):
                             motion_rng=rng_stream(cfg.seed, "mobility"))
     provider = DiskGraph(state.positions, geometry.comm_range)
     # A static world has no mobility state, so run_walk never snapshots its edges.
-    world = World(clock=Clock(cfg.tick), visits=VisitTable(cfg.n_nodes),
+    world = World(visits=VisitTable(cfg.n_nodes),
                   mobility=None if cfg.mobility_model == "static" else state)
     return cfg, provider, world, rng_stream(cfg.seed, "walk")
 
@@ -100,7 +100,7 @@ def _run_task(args) -> RunRecord:
     try:
         record = run_single(config)
     except Exception as exc:  # a failed run is data, not a sweep abort
-        record = RunRecord(config=config, seed=config.seed, error=str(exc))
+        record = RunRecord(config=config, error=str(exc))
     record.replicate = replicate
     return record
 
@@ -306,7 +306,7 @@ def _records_from_runs_csv(path) -> List[RunRecord]:
         if key not in records:
             config = SimConfig(**{c: CONFIG_PARSERS[c](row[c]) for c in POINT_COLUMNS},
                                seed=int(row["seed"]))
-            records[key] = RunRecord(config, config.seed, timed_out=row["timed_out"] == "1",
+            records[key] = RunRecord(config, timed_out=row["timed_out"] == "1",
                                      churn_rate=float(row["churn_rate"]),
                                      waiting_ticks=int(row["waiting_ticks"]),
                                      replicate=int(row["replicate"]))
@@ -335,17 +335,12 @@ def summarize_runs_csv(out_dir) -> str:
 
 # --- sweep spec files --------------------------------------------------------
 
-def _list_of(parse):
-    """A parser for a comma- or space-separated list of `parse` values."""
-    return lambda text: tuple(parse(x) for x in text.replace(",", " ").split())
-
-
 # Sweep file key -> (SweepSpec field, parser); every other key is a config key.
 SWEEP_KEYS = {
-    "sweep_n_nodes": ("n_nodes", _list_of(int)),
-    "sweep_speed_avg": ("speeds", _list_of(float)),
-    "sweep_mobility_model": ("models", _list_of(str)),
-    "sweep_walk_strategy": ("strategies", _list_of(str)),
+    "sweep_n_nodes": ("n_nodes", list_of(int)),
+    "sweep_speed_avg": ("speeds", list_of(float)),
+    "sweep_mobility_model": ("models", list_of(str)),
+    "sweep_walk_strategy": ("strategies", list_of(str)),
     "replicates": ("replicates", int),
     "seed_base": ("seed_base", int),
 }

@@ -32,11 +32,11 @@ def visit_histogram(visits) -> Dict[int, int]:
     return {int(c): int(k) for c, k in enumerate(binned) if k > 0}
 
 
-def churn_rate(counter: LinkEventCounter, n_nodes: int, duration: float) -> float:
-    """Link events per node per second: edge events divided by N*T."""
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
-    return counter.events / (n_nodes * duration)
+def churn_rate(counter: LinkEventCounter, n_nodes: int) -> float:
+    """Link events per node per second: edge events divided by N times the counted duration."""
+    if counter.duration <= 0:
+        raise ValueError(f"duration must be positive, got {counter.duration}")
+    return counter.events / (n_nodes * counter.duration)
 
 
 @dataclass
@@ -58,10 +58,13 @@ class RunRecord:
     """Everything one run produced; serializes to the CSV outputs."""
 
     config: SimConfig
-    seed: int
     milestones: List[MilestoneSnapshot] = field(default_factory=list)
     timed_out: bool = False
     churn_rate: float = 0.0
     waiting_ticks: int = 0
     replicate: int = 0
     error: Optional[str] = None
+
+    @property
+    def seed(self) -> int:
+        return self.config.seed

@@ -33,19 +33,17 @@ class MobilityState:
         return len(self.positions)
 
 
-def init_deployment(config: SimConfig, geometry: WorldGeometry,
-                    rng: np.random.Generator,
-                    motion_rng: Optional[np.random.Generator] = None) -> MobilityState:
+def init_deployment(config: SimConfig, geometry: WorldGeometry, rng: np.random.Generator,
+                    motion_rng: np.random.Generator) -> MobilityState:
     """Deploy N nodes i.i.d. uniform on the square and sample their initial motion state.
 
-    `rng` drives the deployment draws; `motion_rng` (default: same generator)
-    drives all later kinematic resampling.
+    `rng` drives the deployment draws; `motion_rng` drives all later kinematic
+    resampling.
     """
     n = config.n_nodes
     side = geometry.side
     positions = rng.uniform(0.0, side, size=(n, 2))
-    state = MobilityState(config.mobility_model, side, positions,
-                          rng if motion_rng is None else motion_rng)
+    state = MobilityState(config.mobility_model, side, positions, motion_rng)
     if config.mobility_model == "random_direction":
         state.headings = rng.uniform(0.0, _TWO_PI, size=n)
         state.speeds = rng.uniform(config.speed_min, config.speed_max, size=n)

@@ -6,7 +6,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import Clock, SimConfig
+from .core import SimConfig
 from .graphs import LinkEventCounter, NeighborProvider
 from .metrics import (MilestoneSnapshot, RunRecord, churn_rate,
                       exploration_overhead, visit_histogram, visit_variance)
@@ -147,12 +147,10 @@ HOP_FUNCS = {
 
 @dataclass
 class World:
-    """Mutable per-run state: clock, visit counts, kinematics (None for static graphs)."""
+    """Mutable per-run state: visit counts, kinematics (None for static graphs)."""
 
-    clock: Clock
     visits: VisitTable
     mobility: Optional[MobilityState] = None
-    attributes: Optional[np.ndarray] = None
     token: Optional[Token] = None  # the run's walker, set by run_walk
 
 
@@ -184,17 +182,17 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
              trace: Optional[List[TraceEntry]] = None) -> RunRecord:
     """Run one token to full coverage, interleaving mobility ticks and hop attempts.
 
-    Per tick: advance the clock, move the nodes, then (every hop_interval)
+    Per tick: count the tick, move the nodes, then (every hop_interval)
     attempt one hop and (every second of simulated time) snapshot the edge keys
     for link-churn accounting. Only a world with mobility state moves and
     snapshots, over a DiskGraph of its positions. A milestone snapshot is taken
-    the first time coverage reaches each configured target. The run ends at
-    full coverage, or at max_sim_time with the record flagged timed_out.
+    the first time coverage reaches each configured target, at the tick count
+    times config.tick (one product, never a float sum). Node attributes are the
+    node ids. The run ends at full coverage, or timed_out at max_sim_time.
     """
     n = provider.n_nodes
     visits = world.visits
-    clock = world.clock
-    token = introduce_token(n, visits, rng, world.attributes)
+    token = introduce_token(n, visits, rng)
     world.token = token
 
     thresholds = milestone_thresholds(config.milestones, n)
@@ -209,31 +207,31 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
         churn = LinkEventCounter(period=link_every * config.tick)
         churn.observe(provider.edge_keys())
 
-    waiting_ticks = 0
+    tick = waiting_ticks = 0
     while True:
-        # Before the clock advances, so a crossing carries the time of its hop.
+        # Before the tick is counted, so a crossing carries the time of its hop.
         while pending < len(thresholds) and token.unique_visited >= thresholds[pending][1]:
-            snapshots.append(_snapshot(thresholds[pending][0], token, visits, n, clock.now))
+            snapshots.append(_snapshot(thresholds[pending][0], token, visits, n,
+                                       tick * config.tick))
             pending += 1
-        if pending == len(thresholds) or clock.tick_index >= max_ticks:
+        if pending == len(thresholds) or tick >= max_ticks:
             break
-        clock.advance()
-        hop_due = clock.tick_index % hop_every == 0
-        link_due = churn is not None and clock.tick_index % link_every == 0
+        tick += 1
+        hop_due = tick % hop_every == 0
+        link_due = churn is not None and tick % link_every == 0
         if world.mobility is not None:
             step_all(world.mobility, config)
         if hop_due and not HOP_FUNCS[config.walk_strategy](
-                token, provider, visits, rng, world.attributes, trace, clock.tick_index):
+                token, provider, visits, rng, None, trace, tick):
             waiting_ticks += 1
         if link_due:
             churn.observe(provider.edge_keys())
 
     rate = 0.0
     if churn is not None and churn.duration > 0:
-        rate = churn_rate(churn, n, churn.duration)
+        rate = churn_rate(churn, n)
     return RunRecord(
         config=config,
-        seed=config.seed,
         milestones=snapshots,
         timed_out=pending < len(thresholds),
         churn_rate=rate,

@@ -191,7 +191,7 @@ def _measured_churn(n, speed, seed, seconds=30):
             step_all(state, cfg)
         counter.observe(disk_edges(state.positions, geom.comm_range))
     from manetwalk.metrics import churn_rate
-    return churn_rate(counter, n, counter.duration)
+    return churn_rate(counter, n)
 
 
 def test_09_link_churn_calibration():

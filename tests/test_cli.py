@@ -17,7 +17,7 @@ def test_run_with_flags(tmp_path, capsys):
     assert "run completed" in capsys.readouterr().out
 
 
-def test_run_flag_overrides_file(tmp_path):
+def test_run_flag_overrides_file(tmp_path, capsys):
     cfg = tmp_path / "sim.cfg"
     cfg.write_text("n_nodes = 30\nseed = 1\n")
     out = tmp_path / "out"
@@ -26,6 +26,14 @@ def test_run_flag_overrides_file(tmp_path):
     rows = (out / "runs.csv").read_text().splitlines()
     seed_col = rows[0].split(",").index("seed")
     assert rows[1].split(",")[seed_col] == str(2)
+
+    # `--comm_range none` overrides the file's range with the derived one.
+    cfg.write_text("n_nodes = 30\ncomm_range = 0.001\nmax_sim_time = 60\nseed = 3\n")
+    capsys.readouterr()
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "run timed out: no milestone reached" in capsys.readouterr().out
+    assert main(["run", "--config", str(cfg), "--comm_range", "none", "--out", str(out)]) == 0
+    assert "run completed" in capsys.readouterr().out
 
 
 def test_run_unknown_config_key(tmp_path, capsys):
@@ -85,7 +93,7 @@ def test_every_config_key_has_a_flag_with_help():
     for action in group._group_actions:
         assert action.help and action.help.strip(), action.dest
         assert action.type is CONFIG_PARSERS[action.dest]
-        assert action.default is None
+        assert action.default is argparse.SUPPRESS  # only flags on the command line are set
 
 
 def test_bad_flag_exits_1(capsys):

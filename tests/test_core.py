@@ -3,20 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from manetwalk.core import (Clock, ConfigError, SimConfig, config_from,
-                            derive_geometry, geometry_for, parse_config_lines,
-                            read_config_file, rng_stream, validate_config)
+from manetwalk.core import (ConfigError, SimConfig, config_from, geometry_for,
+                            parse_config_lines, read_config_file, rng_stream,
+                            validate_config)
 
 
 def test_derive_geometry_closed_forms():
-    g = derive_geometry(3, 3 / math.e)
+    g = geometry_for(SimConfig(n_nodes=3, density=3 / math.e))
     assert math.isclose(g.area, math.e, rel_tol=1e-12)
     assert math.isclose(g.comm_range ** 2, math.log(3) * math.e / 3, rel_tol=1e-12)
 
-    g = derive_geometry(2, math.log(2))
+    g = geometry_for(SimConfig(n_nodes=2, density=math.log(2)))
     assert g.comm_range == 1.0
 
-    g = derive_geometry(100, 1.0)
+    g = geometry_for(SimConfig(n_nodes=100, density=1.0))
     assert math.isclose(g.area, 100.0, rel_tol=1e-12)
     assert math.isclose(g.side, 10.0, rel_tol=1e-12)
     assert math.isclose(g.comm_range, math.sqrt(math.log(100)), rel_tol=1e-12)
@@ -24,7 +24,7 @@ def test_derive_geometry_closed_forms():
 
 def test_derive_geometry_invariants():
     for n, rho in ((2, 0.5), (10, 0.02), (1000, 3.0)):
-        g = derive_geometry(n, rho)
+        g = geometry_for(SimConfig(n_nodes=n, density=rho))
         assert math.isclose(g.area, g.side ** 2, rel_tol=1e-12)
         assert math.isclose(g.comm_range ** 2, math.log(n) / rho, rel_tol=1e-9)
         assert g.comm_range < g.side
@@ -32,15 +32,15 @@ def test_derive_geometry_invariants():
 
 def test_derive_geometry_rejects_degenerate():
     with pytest.raises(ConfigError):
-        derive_geometry(1, 1.0)
+        geometry_for(SimConfig(n_nodes=1, density=1.0))
     with pytest.raises(ConfigError):
-        derive_geometry(10, 0.0)
+        geometry_for(SimConfig(n_nodes=10, density=0.0))
 
 
 def test_geometry_scale_consistency():
     n, rho = 137, 0.31
-    g1 = derive_geometry(n, rho)
-    g2 = derive_geometry(n, 2 * rho)
+    g1 = geometry_for(SimConfig(n_nodes=n, density=rho))
+    g2 = geometry_for(SimConfig(n_nodes=n, density=2 * rho))
     assert math.isclose(g2.area, g1.area / 2, rel_tol=1e-12)
     assert math.isclose(g2.comm_range, g1.comm_range / math.sqrt(2), rel_tol=1e-12)
 
@@ -49,6 +49,9 @@ def test_geometry_override():
     g = geometry_for(SimConfig(n_nodes=50, density=0.5, comm_range=3.25))
     assert g.comm_range == 3.25
     assert math.isclose(g.area, 100.0, rel_tol=1e-12)
+    assert geometry_for(SimConfig(n_nodes=1, comm_range=2.0)).comm_range == 2.0
+    with pytest.raises(ConfigError, match="density"):
+        geometry_for(SimConfig(density=0.0, comm_range=2.0))
 
 
 def test_validate_config_accepts_default():
@@ -93,17 +96,6 @@ def test_hop_interval_multiples():
     validate_config(SimConfig(hop_interval=0.2, tick=0.1))
     with pytest.raises(ConfigError):
         validate_config(SimConfig(hop_interval=0.05, tick=0.1))
-
-
-def test_clock_never_drifts():
-    clock = Clock(tick=0.1)
-    naive = 0.0
-    for _ in range(10000):
-        clock.advance()
-        naive += 0.1
-    assert clock.tick_index == 10000
-    assert clock.now == 10000 * 0.1  # bit-exact: a single product, not a float sum
-    assert clock.now != naive
 
 
 def test_rng_stream_determinism_and_independence():
@@ -153,6 +145,8 @@ def test_config_file_bad_value():
         parse_config_lines(["n_nodes = lots"])
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_config_lines(["n_nodes 42"])
+    with pytest.raises(ConfigError, match="<config>:2: bad value for 'milestones'"):
+        parse_config_lines(["n_nodes = 42", "milestones ="])
 
 
 def test_flags_win_over_file():

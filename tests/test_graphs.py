@@ -330,7 +330,8 @@ def test_connectivity_threshold_monte_carlo():
     for seed in range(100):
         cfg = validate_config(SimConfig(n_nodes=300, seed=seed))
         geom = geometry_for(cfg)
-        state = init_deployment(cfg, geom, rng_stream(seed, "deployment"))
+        state = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
+                                motion_rng=rng_stream(seed, "mobility"))
         connected += is_connected(state.positions, geom.comm_range)
     assert connected >= 95
 

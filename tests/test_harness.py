@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from manetwalk import harness
-from manetwalk.core import Clock, ConfigError, SimConfig, rng_stream, validate_config
+from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph
 from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
                                SweepSpec, derive_seed, emit_csv, emit_trace,
@@ -128,7 +128,7 @@ def _fake_record(overheads_by_target, timed_out=False, n=40, seed=1, replicate=0
     cfg = validate_config(replace(FAST_BASE, n_nodes=n, seed=seed))
     snaps = [MilestoneSnapshot(t, t, 1.0, int(t * n), int(t * n), ov, {1: n}, 0.1)
              for t, ov in overheads_by_target.items()]
-    return RunRecord(config=cfg, seed=seed, milestones=snaps, timed_out=timed_out,
+    return RunRecord(config=cfg, milestones=snaps, timed_out=timed_out,
                      churn_rate=2.0, replicate=replicate)
 
 
@@ -257,7 +257,7 @@ def test_trace_round_trip_and_replay(tmp_path):
 def test_trace_complete3_has_two_hop_lines(tmp_path):
     cfg = validate_config(SimConfig(n_nodes=3, comm_range=1.0, seed=1))
     provider = CompleteGraph(3)
-    world = World(clock=Clock(cfg.tick), visits=VisitTable(3))
+    world = World(visits=VisitTable(3))
     trace = []
     run_walk(cfg, provider, world, rng_stream(1, "walk"), trace=trace)
     assert len(trace) == 2

@@ -67,18 +67,19 @@ def test_churn_rate_zero_events():
     counter = LinkEventCounter()
     counter.observe(np.empty(0, dtype=np.int64))
     counter.observe(np.empty(0, dtype=np.int64))
-    assert churn_rate(counter, 10, counter.duration) == 0.0
+    assert churn_rate(counter, 10) == 0.0
 
 
 def test_churn_rate_convention():
     # 100 edge events over 1 s in a 100-node network -> 1.0 per node per second
-    counter = LinkEventCounter()
+    counter = LinkEventCounter(period=0.5)
     none = np.empty(0, dtype=np.int64)
     counter.observe(none)
     counter.observe(np.array([2 * i * 100 + 2 * i + 1 for i in range(50)], dtype=np.int64))
     counter.observe(none)
     assert counter.events == 100
-    assert churn_rate(counter, 100, 1.0) == 1.0
+    assert counter.duration == 1.0
+    assert churn_rate(counter, 100) == 1.0
 
 
 def test_churn_rate_matches_endpoint_count_form():
@@ -90,12 +91,13 @@ def test_churn_rate_matches_endpoint_count_form():
         counter.events = int(rng.integers(0, 10**7))
         n = int(rng.integers(2, 5000))
         duration = float(rng.integers(1, 86400)) * float(rng.choice([0.1, 0.3, 1.0, 1.7]))
-        assert churn_rate(counter, n, duration) == float(2 * counter.events) / (2.0 * n * duration)
+        counter.duration = duration
+        assert churn_rate(counter, n) == float(2 * counter.events) / (2.0 * n * duration)
 
 
 def test_churn_rate_rejects_bad_duration():
     with pytest.raises(ValueError):
-        churn_rate(LinkEventCounter(), 5, 0.0)
+        churn_rate(LinkEventCounter(), 5)
 
 
 def test_milestone_overhead_is_monotone_in_runs():

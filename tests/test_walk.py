@@ -1,13 +1,11 @@
-import math
-
 import numpy as np
 import pytest
 from scipy import stats
 
 from manetwalk import walk
-from manetwalk.core import (MOBILITY_MODELS, WALK_STRATEGIES, Clock, SimConfig, geometry_for,
+from manetwalk.core import (MOBILITY_MODELS, WALK_STRATEGIES, SimConfig, geometry_for,
                             rng_stream, validate_config)
-from manetwalk.graphs import CompleteGraph, CycleGraph, DiskGraph, PathGraph
+from manetwalk.graphs import CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter, PathGraph
 from manetwalk.harness import build_run, run_single
 from manetwalk.mobility import MobilityState
 from manetwalk.walk import (VisitTable, World, choose_next_pure_random,
@@ -222,14 +220,26 @@ def listed_pure_random(neighbor_ids, visit_counts, rng):
     return ids[0] if len(ids) == 1 else ids[int(rng.integers(len(ids)))]
 
 
-def reference_run(cfg):
-    """run_single with all-pairs neighbor queries and edge snapshots and list decisions.
+def set_observe(counter, keys):
+    """Python-set stand-in for LinkEventCounter.observe: symmetric difference of edge sets."""
+    edges = set(keys.tolist())
+    if counter.previous is None:
+        counter.previous = edges
+        return
+    counter.events += len(counter.previous ^ edges)
+    counter.previous = edges
+    counter.duration += counter.period
 
-    Mobility, churn counting and the RNG streams stay the production ones.
+
+def reference_run(cfg):
+    """run_single with all-pairs neighbor queries and edge snapshots, set churn, list decisions.
+
+    Mobility and the RNG streams stay the production ones.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DiskGraph, "edge_keys", all_pairs_edge_keys)
         patch.setattr(DiskGraph, "neighbor_ids", all_pairs_neighbor_ids)
+        patch.setattr(LinkEventCounter, "observe", set_observe)
         patch.setattr(walk, "choose_next_self_repelling", listed_self_repelling)
         patch.setattr(walk, "choose_next_pure_random", listed_pure_random)
         return run_single(cfg)
@@ -275,7 +285,7 @@ def test_sparse_whole_runs_match_the_reference():
 def test_run_walk_static_complete_graph():
     cfg = validate_config(SimConfig(n_nodes=100, seed=8))
     provider = CompleteGraph(100)
-    world = World(clock=Clock(cfg.tick), visits=VisitTable(100))
+    world = World(visits=VisitTable(100))
     record = run_walk(cfg, provider, world, rng_stream(8, "walk"))
     final = record.milestones[-1]
     assert final.hops == 99
@@ -288,7 +298,7 @@ def test_run_walk_static_complete_graph():
 def test_run_walk_single_node():
     cfg = validate_config(SimConfig(n_nodes=1, comm_range=1.0, seed=3))
     provider = CompleteGraph(1)
-    world = World(clock=Clock(cfg.tick), visits=VisitTable(1))
+    world = World(visits=VisitTable(1))
     record = run_walk(cfg, provider, world, rng_stream(3, "walk"))
     assert not record.timed_out
     assert record.milestones[-1].hops == 0
@@ -353,11 +363,16 @@ def test_memoryless_decision_replay():
 def test_run_walk_hop_interval_paces_hops():
     cfg = validate_config(SimConfig(n_nodes=10, hop_interval=0.3, tick=0.1, seed=5))
     provider = CompleteGraph(10)
-    world = World(clock=Clock(cfg.tick), visits=VisitTable(10))
+    world = World(visits=VisitTable(10))
     record = run_walk(cfg, provider, world, rng_stream(5, "walk"))
     final = record.milestones[-1]
     assert final.hops == 9
-    assert math.isclose(final.sim_time, 9 * 0.3, rel_tol=1e-9)
+    # 27 ticks: the time is one product of the tick count, never a running float sum.
+    assert final.sim_time == 27 * 0.1
+    summed = 0.0
+    for _ in range(27):
+        summed += 0.1
+    assert summed == 2.700000000000001 != final.sim_time
 
 
 def test_default_config_covers_before_timeout():
