@@ -3,8 +3,8 @@
 from .core import (ConfigError, SimConfig, WorldGeometry, config_from, geometry_for,
                    read_config_file, rng_stream, validate_config)
 from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
-                     NeighborProvider, PathGraph, TorusLattice, UnknownNodeError,
-                     disk_edges)
+                     NeighborProvider, PathGraph, StaticGraph, TorusLattice,
+                     UnknownNodeError, disk_edges)
 from .harness import (SummaryRow, SweepSpec, build_run, derive_seed, emit_csv,
                       emit_trace, figdata, parse_trace, read_sweep_file, run_single,
                       run_sweep, summarize, validate_spec)

@@ -1,11 +1,13 @@
-"""Neighbor resolution: disk graphs, static oracle families, link churn.
+"""Neighbor resolution: static neighbor tables, disk graphs, link churn.
 
-A disk graph is held as its node positions, read at query time, and its edges
-as sorted int64 keys i * N + j (i < j) from a sweep over renumbered y strips
-(disk_edges). Churn is the symmetric difference of two key snapshots.
+A static graph, whether an oracle family or a static deployment, is one table
+of sorted int64 neighbor rows, built once. A mobile disk graph is held as its
+node positions, read at query time, and its edges as sorted int64 keys
+i * N + j (i < j) from a sweep over renumbered y strips (disk_edges). Churn is
+the symmetric difference of two key snapshots.
 """
 
-from typing import Dict, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -29,74 +31,68 @@ class NeighborProvider:
             raise UnknownNodeError(f"node id {node_id} outside [0, {self.n_nodes})")
 
 
-class CompleteGraph(NeighborProvider):
+class StaticGraph(NeighborProvider):
+    """A graph that never changes, held as one sorted int64 neighbor row per node."""
+
+    def __init__(self, rows: List[np.ndarray]):
+        self._rows = rows  # a list: indexing it beats slicing a numpy CSR table per query
+        self.n_nodes = len(rows)
+
+    def __init_subclass__(cls):
+        # perfbench/layers.py wraps each provider class's own neighbor_ids.
+        cls.neighbor_ids = StaticGraph.neighbor_ids
+
+    def neighbor_ids(self, node_id: int) -> np.ndarray:
+        self._check(node_id)
+        return self._rows[node_id]
+
+
+def rows_from_keys(keys: np.ndarray, n_nodes: int) -> List[np.ndarray]:
+    """The sorted neighbor rows of the graph whose edges are the keys i * N + j, i < j."""
+    lows, highs = np.divmod(keys, n_nodes)
+    ends, others = np.divmod(np.sort(np.concatenate((keys, highs * n_nodes + lows))), n_nodes)
+    return np.split(others, np.searchsorted(ends, np.arange(1, n_nodes)))
+
+
+class CompleteGraph(StaticGraph):
     """Every pair connected; the cover-time oracle graph."""
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("CompleteGraph needs n >= 1")
-        self.n_nodes = n
-        self._cache: Dict[int, np.ndarray] = {}
-
-    def neighbor_ids(self, node_id: int) -> np.ndarray:
-        self._check(node_id)
-        ids = self._cache.get(node_id)
-        if ids is None:
-            ids = np.delete(np.arange(self.n_nodes, dtype=np.int64), node_id)
-            self._cache[node_id] = ids
-        return ids
+        ids = np.arange(n - 1, dtype=np.int64)
+        super().__init__(list(ids + (ids >= np.arange(n)[:, None])))
 
 
-class CycleGraph(NeighborProvider):
+class CycleGraph(StaticGraph):
     def __init__(self, n: int):
         if n < 3:
             raise ValueError("CycleGraph needs n >= 3")
-        self.n_nodes = n
         ids = np.arange(n, dtype=np.int64)
-        table = np.stack([(ids - 1) % n, (ids + 1) % n], axis=1)
-        table.sort(axis=1)
-        self._table = table
-
-    def neighbor_ids(self, node_id: int) -> np.ndarray:
-        self._check(node_id)
-        return self._table[node_id]
+        super().__init__(list(np.sort(np.stack([(ids - 1) % n, (ids + 1) % n], axis=1))))
 
 
-class PathGraph(NeighborProvider):
+class PathGraph(StaticGraph):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("PathGraph needs n >= 1")
-        self.n_nodes = n
-
-    def neighbor_ids(self, node_id: int) -> np.ndarray:
-        self._check(node_id)
-        ids = [j for j in (node_id - 1, node_id + 1) if 0 <= j < self.n_nodes]
-        return np.asarray(ids, dtype=np.int64)
+        super().__init__(rows_from_keys(np.arange(n - 1, dtype=np.int64) * (n + 1) + 1, n))
 
 
-class TorusLattice(NeighborProvider):
+class TorusLattice(StaticGraph):
     """Width x height grid with wraparound; 4-neighborhood, no boundary effects."""
 
     def __init__(self, width: int, height: int):
         if width < 3 or height < 3:
             raise ValueError("TorusLattice needs width, height >= 3")
-        self.width = width
-        self.height = height
-        self.n_nodes = width * height
-        ids = np.arange(self.n_nodes, dtype=np.int64)
-        r, c = np.divmod(ids, width)
+        r, c = np.divmod(np.arange(width * height, dtype=np.int64), width)
         table = np.stack([
             ((r - 1) % height) * width + c,
             ((r + 1) % height) * width + c,
             r * width + (c - 1) % width,
             r * width + (c + 1) % width,
         ], axis=1)
-        table.sort(axis=1)
-        self._table = table
-
-    def neighbor_ids(self, node_id: int) -> np.ndarray:
-        self._check(node_id)
-        return self._table[node_id]
+        super().__init__(list(np.sort(table)))
 
 
 class DiskGraph(NeighborProvider):

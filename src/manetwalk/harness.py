@@ -5,6 +5,7 @@ import hashlib
 import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from .core import (CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig, geometry_for,
                    list_of, parse_config_lines, rng_stream, validate_config)
-from .graphs import DiskGraph
+from .graphs import DiskGraph, StaticGraph, rows_from_keys
 from .metrics import MilestoneSnapshot, RunRecord
 from .mobility import init_deployment
 from .walk import TraceEntry, VisitTable, World, run_walk
@@ -77,15 +78,16 @@ def point_config(spec: SweepSpec, point: Point, replicate: int) -> SimConfig:
 
 
 def build_run(config: SimConfig):
-    """Wire up one run: validated config, disk-graph provider, world, walk stream."""
+    """Wire up one run: validated config, StaticGraph or DiskGraph, world, walk stream."""
     cfg = validate_config(config)
     geometry = geometry_for(cfg)
     state = init_deployment(cfg, geometry, rng_stream(cfg.seed, "deployment"),
                             motion_rng=rng_stream(cfg.seed, "mobility"))
     provider = DiskGraph(state.positions, geometry.comm_range)
-    # A static world has no mobility state, so run_walk never snapshots its edges.
-    world = World(visits=VisitTable(cfg.n_nodes),
-                  mobility=None if cfg.mobility_model == "static" else state)
+    if cfg.mobility_model == "static":
+        # One table of the deployed edges; with no mobility state, run_walk takes no snapshot.
+        provider, state = StaticGraph(rows_from_keys(provider.edge_keys(), cfg.n_nodes)), None
+    world = World(visits=VisitTable(cfg.n_nodes), mobility=state)
     return cfg, provider, world, rng_stream(cfg.seed, "walk")
 
 
@@ -222,14 +224,21 @@ def summary_rows(summary: Iterable[SummaryRow]) -> List[List[str]]:
     return [[fmt(v) for v in s] for s in summary]
 
 
-def _write_csv(path, header, rows) -> None:
+@contextmanager
+def _writing(path, **kwargs):
+    """open(path, "w") whose OSError, in opening or in writing, names the path."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path, header, rows) -> None:
+    with _writing(path, newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def emit_csv(records: Sequence[RunRecord], out_dir) -> Dict[str, str]:
@@ -249,17 +258,14 @@ def emit_csv(records: Sequence[RunRecord], out_dir) -> Dict[str, str]:
 def emit_trace(trace: Sequence[TraceEntry], path, n_nodes: int, seed: int,
                start_node: int) -> None:
     """One line per hop attempt; the header carries what replay needs."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# n_nodes={n_nodes} seed={seed} start={start_node}\n")
-            fh.write("# tick node neighbors(id:visits,...) decision outcome\n")
-            for e in trace:
-                nbrs = ",".join(f"{i}:{c}" for i, c in zip(e.neighbor_ids, e.visit_counts))
-                fh.write(f"{e.tick_index} {e.node} {nbrs or '-'} "
-                         f"{e.decision if e.moved else '-'} "
-                         f"{'moved' if e.moved else 'stranded'}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
+    with _writing(path) as fh:
+        fh.write(f"# n_nodes={n_nodes} seed={seed} start={start_node}\n")
+        fh.write("# tick node neighbors(id:visits,...) decision outcome\n")
+        for e in trace:
+            nbrs = ",".join(f"{i}:{c}" for i, c in zip(e.neighbor_ids, e.visit_counts))
+            fh.write(f"{e.tick_index} {e.node} {nbrs or '-'} "
+                     f"{e.decision if e.moved else '-'} "
+                     f"{'moved' if e.moved else 'stranded'}\n")
 
 
 def parse_trace(path) -> Tuple[Dict[str, int], List[TraceEntry]]:
@@ -414,13 +420,10 @@ def figdata(fig_id: str, out_dir) -> str:
         header = keys
         out_rows = sorted(([r[c] for c in keys] for r in rows if r["mean_overhead"] != ""),
                           key=_numeric_key)
-    try:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(f"# {' '.join(header)}\n")
-            for row in out_rows:
-                fh.write(" ".join(row) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {dest}: {exc}") from exc
+    with _writing(dest) as fh:
+        fh.write(f"# {' '.join(header)}\n")
+        for row in out_rows:
+            fh.write(" ".join(row) + "\n")
     return dest
 
 

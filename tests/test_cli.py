@@ -5,6 +5,7 @@ import pytest
 
 from manetwalk.cli import build_parser, main
 from manetwalk.core import CONFIG_PARSERS, SimConfig, rng_stream
+from manetwalk.harness import SUMMARY_COLUMNS
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -56,6 +57,19 @@ def test_run_unwritable_out_exits_2(tmp_path, capsys):
     rc = main(["run", "--n_nodes", "30", "--out", str(blocker / "sub")])
     assert rc == 2
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked, argv", [
+    ("runs.csv", ["run", "--n_nodes", "30"]),
+    ("trace.txt", ["run", "--n_nodes", "30", "--trace"]),
+    ("fig2a.dat", ["figdata", "fig2a"]),
+])
+def test_write_failure_names_the_path_and_exits_2(tmp_path, capsys, blocked, argv):
+    # The output directory exists; a directory in place of the one file fails its write.
+    (tmp_path / "summary.csv").write_text(",".join(SUMMARY_COLUMNS) + "\n")
+    (tmp_path / blocked).mkdir()
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert f"I/O error: cannot write {tmp_path / blocked}: " in capsys.readouterr().err
 
 
 def test_run_trace_written(tmp_path):

@@ -3,8 +3,9 @@ import pytest
 
 from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
 from manetwalk.graphs import (CompleteGraph, CycleGraph, DiskGraph,
-                              LinkEventCounter, PathGraph, TorusLattice,
+                              LinkEventCounter, PathGraph, StaticGraph, TorusLattice,
                               UnknownNodeError, disk_edges)
+from manetwalk.harness import build_run
 from manetwalk.mobility import init_deployment
 
 
@@ -224,6 +225,58 @@ def test_static_variants_definitions():
     assert neighbors(PathGraph(4), 1) == {0, 2}
     assert neighbors(TorusLattice(3, 3), 0) == {1, 2, 3, 6}
     assert neighbors(CompleteGraph(1), 0) == set()
+
+
+def torus_adjacent(width, height):
+    def adjacent(i, j):
+        (ri, ci), (rj, cj) = divmod(i, width), divmod(j, width)
+        return ((rj - ri) % height, (cj - ci) % width) in {
+            (1, 0), (height - 1, 0), (0, 1), (0, width - 1)}
+    return adjacent
+
+
+# Each oracle family with its definition as a set predicate on (node, candidate).
+STATIC_FAMILIES = (
+    [(CompleteGraph(n), lambda i, j: i != j) for n in range(1, 8)]
+    + [(PathGraph(n), lambda i, j: abs(i - j) == 1) for n in (1, 2, 6)]
+    + [(CycleGraph(n), lambda i, j, n=n: (i - j) % n in (1, n - 1)) for n in (3, 9)]
+    + [(TorusLattice(w, h), torus_adjacent(w, h)) for w, h in ((3, 3), (4, 5))]
+)
+
+
+def assert_neighbor_table(provider):
+    """Every row sorted int64 without duplicates or its own id, and the rows symmetric."""
+    rows = [provider.neighbor_ids(i).tolist() for i in range(provider.n_nodes)]
+    for i, row in enumerate(rows):
+        assert provider.neighbor_ids(i).dtype == np.int64
+        assert row == sorted(set(row))
+        assert i not in row
+        assert all(i in rows[j] for j in row)
+    return rows
+
+
+@pytest.mark.parametrize("provider, adjacent", STATIC_FAMILIES,
+                         ids=[f"{type(p).__name__}-{p.n_nodes}" for p, _ in STATIC_FAMILIES])
+def test_static_family_rows_match_their_definition(provider, adjacent):
+    n = provider.n_nodes
+    assert isinstance(provider, StaticGraph)
+    assert assert_neighbor_table(provider) == [
+        [j for j in range(n) if adjacent(i, j)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n_nodes, seed, comm_range", [
+    (100, 1, None), (300, 1, None), (1000, 1, None), (100, 26, None), (1, 1, 1.0)])
+def test_static_deployment_rows_match_the_distance_rows(n_nodes, seed, comm_range):
+    cfg, provider, _, _ = build_run(SimConfig(n_nodes=n_nodes, mobility_model="static",
+                                              seed=seed, comm_range=comm_range))
+    assert isinstance(provider, StaticGraph)
+    geom = geometry_for(cfg)
+    state = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
+                            motion_rng=rng_stream(seed, "mobility"))
+    assert is_connected(state.positions, geom.comm_range) == (seed != 26)
+    disk = DiskGraph(state.positions, geom.comm_range)
+    assert assert_neighbor_table(provider) == [
+        disk.neighbor_ids(i).tolist() for i in range(n_nodes)]
 
 
 def test_torus_wraparound_degree():

@@ -8,6 +8,12 @@ every span and starting every planted fault here fails first.
 
 from pathlib import Path
 
+import pytest
+
+from manetwalk import walk
+from manetwalk.core import rng_stream
+from manetwalk.graphs import CompleteGraph, CycleGraph, PathGraph, TorusLattice
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -25,3 +31,21 @@ def test_perfbench_patch_points_resolve(monkeypatch):
     for fault in faults:
         fault.start()
         fault.stop()
+
+
+@pytest.mark.parametrize("provider", [CompleteGraph(30), CycleGraph(30), PathGraph(30),
+                                      TorusLattice(5, 6)], ids=lambda p: type(p).__name__)
+def test_traced_neighbor_queries_are_the_hop_attempts(monkeypatch, provider):
+    # A span that resolves but no longer sees the engine's calls would read 0 here.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from tracer import Tracer
+
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        token, _ = walk.walk_graph(provider, rng_stream(1, "walk"))
+    finally:
+        tracer.restore()
+    assert token.hops > 0
+    assert tracer.calls("graphs.neighbor_query") == tracer.calls("walk.hop") == token.hops

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from manetwalk import walk
+from manetwalk import harness, walk
 from manetwalk.core import (MOBILITY_MODELS, WALK_STRATEGIES, SimConfig, geometry_for,
                             rng_stream, validate_config)
-from manetwalk.graphs import CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter, PathGraph
+from manetwalk.graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter, PathGraph,
+                              StaticGraph)
 from manetwalk.harness import build_run, run_single
-from manetwalk.mobility import MobilityState
+from manetwalk.mobility import MobilityState, init_deployment
 from manetwalk.walk import (VisitTable, World, choose_next_pure_random,
                             choose_next_self_repelling, hop_pure_random,
                             hop_self_repelling, introduce_token, run_walk,
@@ -166,23 +167,28 @@ def test_static_run_never_snapshots_and_matches_mobile_path(monkeypatch, n_nodes
     monkeypatch.setattr(DiskGraph, "edge_keys", counted)
     cfg = SimConfig(n_nodes=n_nodes, mobility_model="static", max_sim_time=60.0, seed=seed)
     cfg, provider, world, rng = build_run(cfg)
-    deployed = provider.positions.copy()
+    assert isinstance(provider, StaticGraph)
+    assert calls == {"edge_keys": 1}  # the neighbor table, built once
     static = run_walk(cfg, provider, world, rng)
     assert world.mobility is None
-    assert np.array_equal(provider.positions, deployed)  # a static world never moves
-    assert calls == {"edge_keys": 0}
+    assert calls == {"edge_keys": 1}  # and no snapshot
     assert static.timed_out == timed_out
     assert static.churn_rate == 0.0
 
-    # Reference: the same run on the moving path, with every node at speed 0 and
-    # no epoch ever expiring, so each step adds 0.0 and the positions stay bit-identical.
-    cfg, provider, world, rng = build_run(cfg)
-    world.mobility = MobilityState("random_direction", geometry_for(cfg).side,
-                                   provider.positions)
+    # Reference: the same run on the moving path over the deployed positions, with every
+    # node at speed 0 and no epoch ever expiring, so each step adds 0.0 and the positions
+    # stay bit-identical.
+    geom = geometry_for(cfg)
+    positions = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
+                                motion_rng=rng_stream(seed, "mobility")).positions
+    deployed = positions.copy()
+    world = World(visits=VisitTable(n_nodes),
+                  mobility=MobilityState("random_direction", geom.side, positions))
     world.mobility.epoch_remaining[:] = np.inf
-    assert run_walk(cfg, provider, world, rng) == static
-    assert calls["edge_keys"] > 0
-    assert np.array_equal(provider.positions, deployed)
+    moving = DiskGraph(positions, geom.comm_range)
+    assert run_walk(cfg, moving, world, rng_stream(seed, "walk")) == static
+    assert calls["edge_keys"] > 1
+    assert np.array_equal(positions, deployed)
 
 
 def all_pairs_ball(graph):
@@ -234,7 +240,8 @@ def set_observe(counter, keys):
 def reference_run(cfg):
     """run_single with all-pairs neighbor queries and edge snapshots, set churn, list decisions.
 
-    Mobility and the RNG streams stay the production ones.
+    A static run's neighbor table is built from the all-pairs edge keys. Mobility
+    and the RNG streams stay the production ones.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(DiskGraph, "edge_keys", all_pairs_edge_keys)
@@ -280,6 +287,28 @@ def test_sparse_whole_runs_match_the_reference():
     static = [r for r in records if r.config.mobility_model == "static"]
     assert len(static) == 5 and all(r.timed_out for r in static)
     assert static[-1].waiting_ticks == 400  # stranded on every attempt
+
+
+def test_static_run_with_pairs_at_exactly_r_matches_the_reference(monkeypatch):
+    # Integer positions and an integer range put pairs at exactly R, where only the
+    # closed ball (<=) of disk_edges keeps the edge.
+    deploy = harness.init_deployment
+
+    def on_integers(*args, **kwargs):
+        state = deploy(*args, **kwargs)
+        state.positions[:] = np.round(state.positions)
+        return state
+
+    monkeypatch.setattr(harness, "init_deployment", on_integers)
+    cfg = validate_config(SimConfig(n_nodes=20, comm_range=10.0, mobility_model="static",
+                                    max_sim_time=40.0, seed=0))
+    positions = on_integers(cfg, geometry_for(cfg), rng_stream(0, "deployment"),
+                            motion_rng=rng_stream(0, "mobility")).positions
+    d = positions[:, None, :] - positions[None, :, :]
+    assert np.count_nonzero((d * d).sum(axis=2) == 100.0) > 0
+    record = run_single(cfg)
+    assert not record.timed_out
+    assert reference_run(cfg) == record
 
 
 def test_run_walk_static_complete_graph():
