@@ -279,6 +279,32 @@ def test_static_deployment_rows_match_the_distance_rows(n_nodes, seed, comm_rang
         disk.neighbor_ids(i).tolist() for i in range(n_nodes)]
 
 
+@pytest.mark.parametrize("n_nodes, seed, comm_range", [(100, 1, None), (1000, 1, None),
+                                                     (20, 0, 10.0)])
+def test_disk_graph_reads_either_layout_to_the_same_arrays(n_nodes, seed, comm_range):
+    # Deployments are column-major; a C-ordered copy must give the same keys and rows.
+    # The N=20 case is the integer deployment of the exactly-R whole-run test in
+    # tests/test_walk.py, with pairs at exactly R.
+    cfg = validate_config(SimConfig(n_nodes=n_nodes, comm_range=comm_range, seed=seed))
+    geom = geometry_for(cfg)
+    fortran = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
+                              motion_rng=rng_stream(seed, "mobility")).positions
+    if comm_range is not None:
+        fortran[:] = np.round(fortran)
+        d = fortran[:, None, :] - fortran[None, :, :]
+        assert np.count_nonzero((d * d).sum(axis=2) == comm_range * comm_range) > 0
+    c_order = np.ascontiguousarray(fortran)
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    keys = disk_edges(fortran, geom.comm_range)
+    assert keys.size > 0
+    assert keys.dtype == np.int64
+    assert keys.tobytes() == disk_edges(c_order, geom.comm_range).tobytes()
+    by_column, by_row = DiskGraph(fortran, geom.comm_range), DiskGraph(c_order, geom.comm_range)
+    for i in range(n_nodes):
+        ours, theirs = by_column.neighbor_ids(i), by_row.neighbor_ids(i)
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
 def test_torus_wraparound_degree():
     lattice = TorusLattice(5, 4)
     for i in range(lattice.n_nodes):

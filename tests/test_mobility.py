@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -7,7 +8,8 @@ import pytest
 from scipy import stats
 
 from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
-from manetwalk.mobility import _EPOCH_EPS, init_deployment, step_all
+from manetwalk.mobility import (_EPOCH_EPS, MobilityState, _set_displacement, init_deployment,
+                                step_all)
 
 TWO_PI = 2.0 * math.pi
 
@@ -88,6 +90,112 @@ def step_random_waypoint(node, dt, side, speed_range, pause_time, rng):
         node.position = (node.position[0] + dx / dist * step,
                          node.position[1] + dy / dist * step)
     return node
+
+
+# --- index-array reference: step_all through gathers and scatters by node id ---
+
+def reference_step_all(state, config):
+    """step_all through index arrays, with a full-array heading mod and no displacement cache."""
+    if state.model == "random_direction":
+        _reference_direction(state, config)
+    elif state.model == "random_waypoint":
+        _reference_waypoint(state, config)
+    else:
+        raise ValueError(f"unknown mobility model {state.model!r}")
+
+
+def _reference_direction(state, config):
+    dt = config.tick
+    pos = state.positions
+    step = state.speeds * dt
+    pos[:, 0] += step * np.cos(state.headings)
+    pos[:, 1] += step * np.sin(state.headings)
+
+    for axis in (0, 1):
+        comp = pos[:, axis]
+        while True:
+            low = comp < 0.0
+            high = comp > state.side
+            if not (low.any() or high.any()):
+                break
+            comp[low] = -comp[low]
+            comp[high] = 2.0 * state.side - comp[high]
+            bounced = low | high
+            if axis == 0:
+                state.headings[bounced] = math.pi - state.headings[bounced]
+            else:
+                state.headings[bounced] = -state.headings[bounced]
+    np.mod(state.headings, TWO_PI, out=state.headings)
+
+    state.epoch_remaining -= dt
+    expired = state.epoch_remaining <= _EPOCH_EPS
+    k = int(expired.sum())
+    if k:
+        rng = state.rng
+        state.headings[expired] = rng.uniform(0.0, TWO_PI, size=k)
+        state.speeds[expired] = rng.uniform(config.speed_min, config.speed_max, size=k)
+        state.epoch_remaining[expired] = config.direction_epoch
+
+
+def _reference_waypoint(state, config):
+    dt = config.tick
+    paused = state.pause_remaining > 0.0
+    if paused.any():
+        state.pause_remaining[paused] -= dt
+
+    active = np.nonzero(~paused)[0]
+    if active.size == 0:
+        return
+
+    need = active[~state.has_waypoint[active]]
+    if need.size:
+        rng = state.rng
+        state.waypoints[need] = rng.uniform(0.0, state.side, size=(need.size, 2))
+        state.speeds[need] = rng.uniform(config.speed_min, config.speed_max, size=need.size)
+        state.has_waypoint[need] = True
+
+    delta = state.waypoints[active] - state.positions[active]
+    dist = np.hypot(delta[:, 0], delta[:, 1])
+    step = state.speeds[active] * dt
+
+    arrived = dist <= step
+    arr = active[arrived]
+    if arr.size:
+        state.positions[arr] = state.waypoints[arr]
+        state.has_waypoint[arr] = False
+        state.pause_remaining[arr] = config.pause_time
+
+    go = active[~arrived]
+    if go.size:
+        d = dist[~arrived]
+        state.positions[go] += delta[~arrived] * (step[~arrived] / d)[:, None]
+
+
+STATE_ARRAYS = ("positions", "headings", "speeds", "epoch_remaining", "waypoints",
+                "has_waypoint", "pause_remaining")
+
+
+def assert_same_bits(state, reference, config):
+    """Every kinematic array and the motion stream are bit-identical to the reference's."""
+    for name in STATE_ARRAYS:
+        ours, theirs = getattr(state, name), getattr(reference, name)
+        assert ours.shape == theirs.shape and ours.dtype == theirs.dtype, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert state.rng.bit_generator.state == reference.rng.bit_generator.state
+    if state.model == "random_direction":
+        step = reference.speeds * config.tick
+        assert state.displacement[:, 0].tobytes() == (step * np.cos(reference.headings)).tobytes()
+        assert state.displacement[:, 1].tobytes() == (step * np.sin(reference.headings)).tobytes()
+
+
+def step_both(state, reference, config, ticks, every=1):
+    """Step the kernels and the reference side by side, comparing bits every few ticks."""
+    with np.errstate(all="raise"):
+        for tick in range(1, ticks + 1):
+            step_all(state, config)
+            reference_step_all(reference, config)
+            if tick % every == 0 or tick == ticks:
+                assert_same_bits(state, reference, config)
 
 
 def _state(cfg, seed=0):
@@ -251,3 +359,107 @@ def test_vectorized_matches_scalar_random_waypoint():
                                  (cfg.speed_min, cfg.speed_max), cfg.pause_time, rng)
     scalar = np.array([n.position for n in nodes])
     assert np.allclose(scalar, state.positions, atol=1e-9)
+
+
+# --- the kernels against the index-array reference, bit for bit ----------------
+
+@pytest.mark.parametrize("speed", [3.0, 15.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n_nodes", [100, 1000])
+@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
+def test_step_all_matches_the_index_array_reference(model, n_nodes, seed, speed):
+    cfg, _, state = _state(SimConfig(n_nodes=n_nodes, mobility_model=model, speed_avg=speed),
+                           seed=seed)
+    assert state.positions.flags.f_contiguous and state.waypoints.flags.f_contiguous
+    step_both(state, copy.deepcopy(state), cfg, 5000, every=10)
+
+
+def _direction_state(cfg, positions, headings, speed):
+    """A random-direction state built directly, with epochs that never expire."""
+    side = geometry_for(cfg).side
+    state = MobilityState("random_direction", side, np.asfortranarray(positions, dtype=float),
+                          rng_stream(0, "mobility"))
+    state.headings[:] = headings
+    state.speeds[:] = speed
+    state.epoch_remaining[:] = np.inf
+    _set_displacement(state, slice(None), cfg.tick)
+    return state
+
+
+def test_planted_heading_of_exactly_two_pi():
+    cfg = validate_config(SimConfig(n_nodes=3, density=0.02))
+    # Node 0 holds 2π; node 1 bounces off x = 0 from just past π, to -4.4e-16, which
+    # np.mod rounds to exactly 2π. Each moves one tick on cos/sin(2π), then wraps to 0.
+    state = _direction_state(cfg, [[5.0, 5.0], [0.01, 5.0], [5.0, 5.0]],
+                             [TWO_PI, np.nextafter(math.pi, 4.0), 1.0], 1.0)
+    reference = copy.deepcopy(state)
+    step_both(state, reference, cfg, 1)
+    assert state.headings[0] == 0.0 and state.headings[1] == TWO_PI
+    step_both(state, reference, cfg, 1)
+    assert state.headings[1] == 0.0
+    step_both(state, reference, cfg, 20)
+
+
+def test_planted_step_longer_than_the_side():
+    # Side 1 m and 2.5 m per tick: a coordinate can land past both walls of an axis.
+    cfg = validate_config(SimConfig(n_nodes=4, density=4.0, comm_range=0.5,
+                                    speed_avg=25.0, speed_halfwidth=0.0))
+    _, geom, state = _state(cfg, seed=4)
+    reference = copy.deepcopy(state)
+    double = 0
+    for _ in range(200):
+        raw = state.positions + state.displacement
+        double += np.count_nonzero((raw < -geom.side) | (raw > 2.0 * geom.side))
+        step_both(state, reference, cfg, 1)
+        assert ((state.positions >= 0) & (state.positions <= geom.side)).all()
+    assert double > 0
+
+
+@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
+def test_planted_zero_speed_halfwidth(model):
+    cfg, _, state = _state(SimConfig(n_nodes=100, mobility_model=model, speed_halfwidth=0.0),
+                           seed=7)
+    step_both(state, copy.deepcopy(state), cfg, 1000)
+    assert (state.speeds == cfg.speed_avg).all()
+
+
+def test_planted_zero_pause_time():
+    cfg, _, state = _state(SimConfig(n_nodes=50, mobility_model="random_waypoint",
+                                     pause_time=0.0, speed_avg=15.0), seed=8)
+    reference = copy.deepcopy(state)
+    arrivals = 0
+    for _ in range(2000):
+        step_both(state, reference, cfg, 1)
+        arrivals += np.count_nonzero(~state.has_waypoint)
+    assert arrivals > 0
+    assert (state.pause_remaining == 0.0).all()
+
+
+def test_planted_every_node_paused():
+    cfg, _, state = _state(SimConfig(n_nodes=100, mobility_model="random_waypoint"), seed=9)
+    state.pause_remaining[:] = 0.45
+    deployed = state.positions.copy()
+    reference = copy.deepcopy(state)
+    step_both(state, reference, cfg, 4)
+    assert np.array_equal(state.positions, deployed)
+    step_both(state, reference, cfg, 100)
+    assert not np.array_equal(state.positions, deployed)
+
+
+@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
+def test_directly_built_state_steps_like_the_reference(model):
+    # As a static run's zero-speed reference builds it: C-ordered positions, zero speeds,
+    # zero cached displacement. It stands still until its first draws.
+    cfg = validate_config(SimConfig(n_nodes=30, mobility_model=model))
+    geom = geometry_for(cfg)
+    positions = rng_stream(1, "deployment").uniform(0.0, geom.side, size=(30, 2))
+    state = MobilityState(model, geom.side, positions, rng_stream(1, "mobility"))
+    assert positions.flags.c_contiguous and not state.displacement.any()
+    state.epoch_remaining[:] = 0.35
+    deployed = positions.copy()
+    reference = copy.deepcopy(state)
+    if model == "random_direction":
+        step_both(state, reference, cfg, 3)
+        assert np.array_equal(positions, deployed)
+    step_both(state, reference, cfg, 300)
+    assert not np.array_equal(positions, deployed)

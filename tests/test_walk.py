@@ -13,6 +13,7 @@ from manetwalk.walk import (VisitTable, World, choose_next_pure_random,
                             choose_next_self_repelling, hop_pure_random,
                             hop_self_repelling, introduce_token, run_walk,
                             walk_graph)
+from test_mobility import reference_step_all
 
 
 def test_introduce_requires_nodes_and_clean_table():
@@ -240,10 +241,12 @@ def set_observe(counter, keys):
 def reference_run(cfg):
     """run_single with all-pairs neighbor queries and edge snapshots, set churn, list decisions.
 
-    A static run's neighbor table is built from the all-pairs edge keys. Mobility
+    Nodes move by the index-array reference kernels of tests/test_mobility.py. A
+    static run's neighbor table is built from the all-pairs edge keys. Deployment
     and the RNG streams stay the production ones.
     """
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walk, "step_all", reference_step_all)
         patch.setattr(DiskGraph, "edge_keys", all_pairs_edge_keys)
         patch.setattr(DiskGraph, "neighbor_ids", all_pairs_neighbor_ids)
         patch.setattr(LinkEventCounter, "observe", set_observe)
