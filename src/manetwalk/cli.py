@@ -3,7 +3,7 @@
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .core import CONFIG_PARSERS, ConfigError, SimConfig, config_from, read_config_file
 from .harness import (FIGURES, SweepSpec, build_run, emit_csv, emit_trace, figdata,
@@ -39,10 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a sweep grid with replicates")
     p_sweep.add_argument("--spec", help="sweep spec file (config keys + sweep_* axes)")
-    p_sweep.add_argument("--desk", action="store_true",
-                         help="cap the grid at N=500 and 5 replicates")
-    p_sweep.add_argument("--replicates", type=int, help="override replicate count")
-    p_sweep.add_argument("--seed_base", type=int, help="override the sweep seed base")
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="parallel worker processes (default: 1)")
     p_sweep.add_argument("--out", default="out", help="output directory (default: out)")
@@ -86,13 +82,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = read_sweep_file(args.spec) if args.spec else SweepSpec(base=SimConfig())
-    if args.desk:
-        kept = tuple(n for n in spec.n_nodes if n <= 500) or (500,)
-        spec = replace(spec, n_nodes=kept, replicates=min(spec.replicates, 5))
-    if args.replicates is not None:
-        spec = replace(spec, replicates=args.replicates)
-    if args.seed_base is not None:
-        spec = replace(spec, seed_base=args.seed_base)
     records = run_sweep(spec, workers=args.workers)
     paths = emit_csv(records, args.out)
     done = sum(1 for r in records if not r.timed_out and r.error is None)

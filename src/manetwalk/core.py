@@ -169,7 +169,7 @@ CONFIG_PARSERS = {f.name: f.metadata["parse"] for f in fields(SimConfig)}
 
 
 def parse_config_lines(lines, source="<config>", parsers=None) -> Dict[str, object]:
-    """Parse flat `key = value` lines; unknown keys are a hard error."""
+    """Parse flat `key = value` lines; an unknown or repeated key is a hard error."""
     parsers = CONFIG_PARSERS if parsers is None else parsers
     values: Dict[str, object] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -183,6 +183,8 @@ def parse_config_lines(lines, source="<config>", parsers=None) -> Dict[str, obje
         value = value.strip()
         if key not in parsers:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{source}:{lineno}: repeated key {key!r}")
         try:
             values[key] = parsers[key](value)
         except ValueError as exc:
@@ -190,9 +192,9 @@ def parse_config_lines(lines, source="<config>", parsers=None) -> Dict[str, obje
     return values
 
 
-def read_config_file(path) -> Dict[str, object]:
+def read_config_file(path, parsers=None) -> Dict[str, object]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_lines(fh, source=str(path))
+        return parse_config_lines(fh, source=str(path), parsers=parsers)
 
 
 def config_from(file_values=None, flag_values=None) -> SimConfig:

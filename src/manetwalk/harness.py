@@ -7,12 +7,13 @@ from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig, geometry_for,
-                   list_of, parse_config_lines, rng_stream, validate_config)
+                   list_of, read_config_file, rng_stream, validate_config)
 from .graphs import DiskGraph, StaticGraph, rows_from_keys
 from .metrics import MilestoneSnapshot, RunRecord
 from .mobility import init_deployment
@@ -27,7 +28,11 @@ DEFAULT_SPEEDS = (3.0, 7.0, 11.0, 15.0)
 
 @dataclass
 class SweepSpec:
-    """A grid of sweep points over a base config, with replicates per point."""
+    """A grid of sweep points over a base config, with replicates per point.
+
+    Runs take n_nodes, speed_avg, mobility_model, walk_strategy and seed from the grid, not base.
+    A sweep file may not set them (GRID_KEYS); a code-built spec is unchecked: defaults look set.
+    """
 
     base: SimConfig
     n_nodes: Sequence[int] = DEFAULT_N_NODES
@@ -350,14 +355,20 @@ SWEEP_KEYS = {
     "replicates": ("replicates", int),
     "seed_base": ("seed_base", int),
 }
+# Config key that every sweep run takes from its grid point -> the sweep key to set instead.
+GRID_KEYS = {"n_nodes": "sweep_n_nodes", "speed_avg": "sweep_speed_avg", "seed": "seed_base",
+             "mobility_model": "sweep_mobility_model", "walk_strategy": "sweep_walk_strategy"}
+
+
+def _set_instead(sweep_key: str, text: str):
+    raise ValueError(f"a sweep never reads it; set {sweep_key} instead")
 
 
 def read_sweep_file(path) -> SweepSpec:
-    """A sweep file is a flat config file plus sweep_* axis keys."""
-    parsers = dict(CONFIG_PARSERS)
-    parsers.update((key, parse) for key, (_, parse) in SWEEP_KEYS.items())
-    with open(path, "r", encoding="utf-8") as fh:
-        values = parse_config_lines(fh, source=str(path), parsers=parsers)
+    """A sweep file is a flat config file, without GRID_KEYS, plus sweep_* axis keys."""
+    parsers = {**CONFIG_PARSERS, **{k: partial(_set_instead, to) for k, to in GRID_KEYS.items()},
+               **{key: parse for key, (_, parse) in SWEEP_KEYS.items()}}
+    values = read_config_file(path, parsers)
     sweep = {SWEEP_KEYS[k][0]: v for k, v in values.items() if k in SWEEP_KEYS}
     base = {k: v for k, v in values.items() if k not in SWEEP_KEYS}
     return SweepSpec(base=SimConfig(**base), **sweep)

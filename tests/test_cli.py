@@ -1,11 +1,12 @@
 import argparse
+import csv
 from dataclasses import fields
 
 import pytest
 
 from manetwalk.cli import build_parser, main
 from manetwalk.core import CONFIG_PARSERS, SimConfig, rng_stream
-from manetwalk.harness import SUMMARY_COLUMNS
+from manetwalk.harness import SUMMARY_COLUMNS, derive_seed, fmt
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -118,7 +119,6 @@ def test_bad_flag_exits_1(capsys):
 def test_sweep_summarize_figdata_pipeline(tmp_path, capsys):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(
-        "n_nodes = 30\n"
         "milestones = 0.5, 1.0\n"
         "sweep_n_nodes = 30, 40\n"
         "sweep_speed_avg = 7\n"
@@ -140,23 +140,65 @@ def test_sweep_summarize_figdata_pipeline(tmp_path, capsys):
     assert (out / "fig2b.dat").exists()
 
 
-def test_sweep_desk_preset_caps_grid(tmp_path, capsys):
+def test_sweep_writes_exactly_the_spec_grid(tmp_path, capsys):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(
-        "n_nodes = 30\n"
         "milestones = 1.0\n"
-        "sweep_n_nodes = 30, 1000\n"
-        "sweep_speed_avg = 7\n"
+        "max_sim_time = 60\n"
+        "sweep_n_nodes = 30\n"
+        "sweep_speed_avg = 3, 7\n"
         "sweep_mobility_model = static\n"
-        "sweep_walk_strategy = self_repelling\n"
-        "replicates = 7\n")
+        "sweep_walk_strategy = self_repelling, pure_random\n"
+        "replicates = 1\n"
+        "seed_base = 4\n")
     out = tmp_path / "out"
-    rc = main(["sweep", "--spec", str(spec), "--desk", "--replicates", "1",
-               "--out", str(out)])
-    assert rc == 0
-    rows = (out / "runs.csv").read_text().splitlines()[1:]
-    assert rows  # N=1000 dropped by --desk, N=30 kept
-    assert all(row.split(",")[0] == "30" for row in rows)
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert "/4 runs completed" in capsys.readouterr().out
+    grid = [(v, s) for v in (3.0, 7.0) for s in ("self_repelling", "pure_random")]
+    with open(out / "summary.csv") as fh:
+        summary = [(r["n_nodes"], r["mobility_model"], r["speed_avg"], r["walk_strategy"],
+                    r["milestone"], r["runs"]) for r in csv.DictReader(fh)]
+    assert summary == [("30", "static", fmt(v), s, "1", "1") for v, s in grid]
+    # A static run on a disconnected deployment reaches no milestone and writes no row.
+    seeds = {(fmt(v), s): str(derive_seed(4, (30, v, "static", s), 0)) for v, s in grid}
+    with open(out / "runs.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows
+    for r in rows:
+        assert (r["n_nodes"], r["mobility_model"], r["replicate"]) == ("30", "static", "0")
+        assert seeds[r["speed_avg"], r["walk_strategy"]] == r["seed"]
+
+
+@pytest.mark.parametrize("line, instead", [
+    ("n_nodes = 30", "sweep_n_nodes"),
+    ("speed_avg = 3", "sweep_speed_avg"),
+    ("mobility_model = static", "sweep_mobility_model"),
+    ("walk_strategy = pure_random", "sweep_walk_strategy"),
+    ("seed = 99", "seed_base"),
+])
+def test_sweep_rejects_a_key_the_grid_sets(tmp_path, capsys, line, instead):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(f"sweep_n_nodes = 20\n{line}\nreplicates = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+    key = line.split()[0]
+    assert (f"error: {spec}:2: bad value for {key!r}: a sweep never reads it; "
+            f"set {instead} instead") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key, text", [
+    (["run", "--config"], "n_nodes", "n_nodes = 30\nseed = 4\nn_nodes = 50\n"),
+    (["sweep", "--spec"], "sweep_n_nodes",
+     "sweep_n_nodes = 20\nreplicates = 1\nsweep_n_nodes = 30\n"),
+])
+def test_repeated_key_exits_1(tmp_path, capsys, command, key, text):
+    path = tmp_path / "keys.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(command + [str(path), "--out", str(out)]) == 1
+    assert f"error: {path}:3: repeated key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_figdata_missing_dir_exits_2(tmp_path):

@@ -84,6 +84,16 @@ def test_validate_config_named_errors():
         validate_config(SimConfig(milestones=(0.5, 1.0, 1.5)))
     with pytest.raises(ConfigError, match="comm_range"):
         validate_config(SimConfig(comm_range=0.0))
+    with pytest.raises(ConfigError, match="speed_halfwidth must be >= 0"):
+        validate_config(SimConfig(speed_halfwidth=-0.5))
+    with pytest.raises(ConfigError, match="pause_time must be >= 0"):
+        validate_config(SimConfig(pause_time=-1.0))
+    with pytest.raises(ConfigError, match="direction_epoch must be positive"):
+        validate_config(SimConfig(direction_epoch=0.0))
+    with pytest.raises(ConfigError, match="max_sim_time must be positive"):
+        validate_config(SimConfig(max_sim_time=0.0))
+    with pytest.raises(ConfigError, match="milestones must be non-empty"):
+        validate_config(SimConfig(milestones=()))
 
 
 def test_validate_config_normalizes_milestones():
@@ -147,6 +157,8 @@ def test_config_file_bad_value():
         parse_config_lines(["n_nodes 42"])
     with pytest.raises(ConfigError, match="<config>:2: bad value for 'milestones'"):
         parse_config_lines(["n_nodes = 42", "milestones ="])
+    with pytest.raises(ConfigError, match="<config>:3: repeated key 'n_nodes'"):
+        parse_config_lines(["n_nodes = 30", "seed = 4", "n_nodes = 50"])
 
 
 def test_flags_win_over_file():

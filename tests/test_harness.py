@@ -41,7 +41,7 @@ def test_seed_derivation_stable_and_injective():
                      for p in points for r in range(4)]
 
 
-def test_validate_spec_rejects_bad_axes():
+def test_validate_spec_rejects_bad_axes(monkeypatch):
     with pytest.raises(ConfigError):
         validate_spec(_spec(replicates=0))
     with pytest.raises(ConfigError):
@@ -52,6 +52,9 @@ def test_validate_spec_rejects_bad_axes():
         validate_spec(_spec(speeds=(7.0, 1.0)))
     with pytest.raises(ConfigError):  # ln(1) = 0 derives no comm_range
         validate_spec(_spec(n_nodes=(1, 40)))
+    monkeypatch.setattr(harness, "derive_seed", lambda seed_base, point, replicate: 7)
+    with pytest.raises(ConfigError, match="seed derivation collided"):
+        validate_spec(_spec())
 
 
 def test_sweep_single_point():

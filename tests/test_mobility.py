@@ -238,6 +238,12 @@ def test_deployment_initial_motion_state():
     assert ((wp.waypoints >= 0) & (wp.waypoints <= geom.side)).all()
     assert (wp.pause_remaining == 0).all()
 
+    # A static deployment draws no motion, and step_all has no kernel to run it with.
+    cfg, _, st = _state(SimConfig(n_nodes=300, mobility_model="static"))
+    assert not st.speeds.any() and not st.has_waypoint.any()
+    with pytest.raises(ValueError, match="unknown mobility model 'static'"):
+        step_all(st, cfg)
+
 
 def test_step_direction_straight_line():
     node = NodeKinematics(position=(5.0, 5.0), heading=0.0, speed=2.0, epoch_remaining=10.0)

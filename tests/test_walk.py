@@ -419,6 +419,8 @@ def test_lattice_walk_variance_desk_scale():
     from manetwalk.metrics import visit_variance
     lattice = TorusLattice(16, 16)
     n = lattice.n_nodes
+    with pytest.raises(ValueError, match="needs max_hops when stop_at_coverage is False"):
+        walk_graph(lattice, rng_stream(0, "walk"), stop_at_coverage=False)
     for seed in range(3):
         _, visits = walk_graph(lattice, rng_stream(seed, "walk"),
                                max_hops=10 * n, stop_at_coverage=False)
