@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -21,38 +22,37 @@ from .walk import TraceEntry, VisitTable, World, run_walk
 
 _U64 = (1 << 64) - 1
 
-# The reference experiment grid the default sweep covers.
-DEFAULT_N_NODES = (100, 300, 500, 1000)
-DEFAULT_SPEEDS = (3.0, 7.0, 11.0, 15.0)
+# The config keys a sweep varies: the order of a grid point and of its derive_seed key.
+AXES = ("n_nodes", "speed_avg", "mobility_model", "walk_strategy")
 
 
 @dataclass
 class SweepSpec:
     """A grid of sweep points over a base config, with replicates per point.
 
-    Runs take n_nodes, speed_avg, mobility_model, walk_strategy and seed from the grid, not base.
+    Each AXES field lists the values its config key takes; the defaults are the reference grid.
+    Runs take the AXES keys from their grid point and seed from seed_base, never from base.
     A sweep file may not set them (GRID_KEYS); a code-built spec is unchecked: defaults look set.
     """
 
     base: SimConfig
-    n_nodes: Sequence[int] = DEFAULT_N_NODES
-    speeds: Sequence[float] = DEFAULT_SPEEDS
-    models: Sequence[str] = ("random_direction", "random_waypoint")
-    strategies: Sequence[str] = WALK_STRATEGIES
+    n_nodes: Sequence[int] = (100, 300, 500, 1000)
+    speed_avg: Sequence[float] = (3.0, 7.0, 11.0, 15.0)
+    mobility_model: Sequence[str] = ("random_direction", "random_waypoint")
+    walk_strategy: Sequence[str] = WALK_STRATEGIES
     replicates: int = 10
     seed_base: int = 1
 
 
-Point = Tuple[int, float, str, str]  # (n_nodes, speed_avg, mobility_model, walk_strategy)
+def _axis_values(spec: SweepSpec) -> List[tuple]:
+    return [tuple(map(CONFIG_PARSERS[axis], getattr(spec, axis))) for axis in AXES]
 
 
-def sweep_points(spec: SweepSpec) -> List[Point]:
-    return [(int(n), float(v), m, s)
-            for n in spec.n_nodes for v in spec.speeds
-            for m in spec.models for s in spec.strategies]
+def sweep_points(spec: SweepSpec) -> List[tuple]:
+    return list(product(*_axis_values(spec)))
 
 
-def derive_seed(seed_base: int, point: Point, replicate: int) -> int:
+def derive_seed(seed_base: int, point: tuple, replicate: int) -> int:
     """Stable per-run seed: seed_base xor a hash of the sweep coordinates."""
     key = f"{point[0]}|{point[1]!r}|{point[2]}|{point[3]}|{replicate}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
@@ -60,26 +60,27 @@ def derive_seed(seed_base: int, point: Point, replicate: int) -> int:
 
 
 def validate_spec(spec: SweepSpec) -> SweepSpec:
-    """Check axes, replicates and every point's config, and that derived seeds never collide."""
+    """Check replicates, that each axis has values and none twice, and every point's config.
+
+    Distinct points give distinct derive_seed keys, so no two runs share a seed.
+    """
     if spec.replicates < 1:
         raise ConfigError(f"replicates must be >= 1, got {spec.replicates}")
-    if not spec.n_nodes or not spec.speeds or not spec.models or not spec.strategies:
-        raise ConfigError("every sweep axis needs at least one value")
-    points = sweep_points(spec)
-    seeds = {derive_seed(spec.seed_base, p, r) for p in points for r in range(spec.replicates)}
-    if len(seeds) != len(points) * spec.replicates:
-        raise ConfigError("seed derivation collided across the sweep grid")
-    for p in points:
+    for axis, values in zip(AXES, _axis_values(spec)):
+        if not values:
+            raise ConfigError(f"sweep_{axis} needs at least one value")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ConfigError(f"sweep_{axis} repeats {value}")
+    for p in sweep_points(spec):
         point_config(spec, p, 0)
     return spec
 
 
-def point_config(spec: SweepSpec, point: Point, replicate: int) -> SimConfig:
+def point_config(spec: SweepSpec, point: tuple, replicate: int) -> SimConfig:
     """The validated config of one run, so a failed run's record is normalized too."""
-    n, speed, model, strategy = point
-    return validate_config(replace(
-        spec.base, n_nodes=n, speed_avg=speed, mobility_model=model, walk_strategy=strategy,
-        seed=derive_seed(spec.seed_base, point, replicate)))
+    return validate_config(replace(spec.base, **dict(zip(AXES, point)),
+                                   seed=derive_seed(spec.seed_base, point, replicate)))
 
 
 def build_run(config: SimConfig):
@@ -117,6 +118,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> List[RunRecord]:
     spec = validate_spec(spec)
     tasks = [(point_config(spec, p, r), r)
              for p in sweep_points(spec) for r in range(spec.replicates)]
+    workers = min(workers, len(tasks))  # the pool starts every worker at its first task
     if workers <= 1:
         return [_run_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -268,37 +270,9 @@ def emit_trace(trace: Sequence[TraceEntry], path, n_nodes: int, seed: int,
         fh.write("# tick node neighbors(id:visits,...) decision outcome\n")
         for e in trace:
             nbrs = ",".join(f"{i}:{c}" for i, c in zip(e.neighbor_ids, e.visit_counts))
-            fh.write(f"{e.tick_index} {e.node} {nbrs or '-'} "
-                     f"{e.decision if e.moved else '-'} "
-                     f"{'moved' if e.moved else 'stranded'}\n")
-
-
-def parse_trace(path) -> Tuple[Dict[str, int], List[TraceEntry]]:
-    """Read a trace file back into entries (the replay side of emit_trace)."""
-    meta: Dict[str, int] = {}
-    entries: List[TraceEntry] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for part in line[1:].split():
-                    if "=" in part:
-                        k, v = part.split("=", 1)
-                        meta[k] = int(v)
-                continue
-            tick, node, nbrs, decision, outcome = line.split()
-            if nbrs == "-":
-                ids, counts = (), ()
-            else:
-                pairs = [p.split(":") for p in nbrs.split(",")]
-                ids = tuple(int(a) for a, _ in pairs)
-                counts = tuple(int(b) for _, b in pairs)
-            entries.append(TraceEntry(int(tick), int(node), ids, counts,
-                                      -1 if decision == "-" else int(decision),
-                                      outcome == "moved"))
-    return meta, entries
+            moved = e.decision != -1
+            fh.write(f"{e.tick_index} {e.node} {nbrs or '-'} {e.decision if moved else '-'} "
+                     f"{'moved' if moved else 'stranded'}\n")
 
 
 def _records_from_runs_csv(path) -> List[RunRecord]:
@@ -346,18 +320,11 @@ def summarize_runs_csv(out_dir) -> str:
 
 # --- sweep spec files --------------------------------------------------------
 
-# Sweep file key -> (SweepSpec field, parser); every other key is a config key.
-SWEEP_KEYS = {
-    "sweep_n_nodes": ("n_nodes", list_of(int)),
-    "sweep_speed_avg": ("speeds", list_of(float)),
-    "sweep_mobility_model": ("models", list_of(str)),
-    "sweep_walk_strategy": ("strategies", list_of(str)),
-    "replicates": ("replicates", int),
-    "seed_base": ("seed_base", int),
-}
+# Sweep file key -> its parser; each key sets the SweepSpec field it names without "sweep_".
+SWEEP_KEYS = {**{f"sweep_{axis}": list_of(CONFIG_PARSERS[axis]) for axis in AXES},
+              "replicates": int, "seed_base": int}
 # Config key that every sweep run takes from its grid point -> the sweep key to set instead.
-GRID_KEYS = {"n_nodes": "sweep_n_nodes", "speed_avg": "sweep_speed_avg", "seed": "seed_base",
-             "mobility_model": "sweep_mobility_model", "walk_strategy": "sweep_walk_strategy"}
+GRID_KEYS = {**{axis: f"sweep_{axis}" for axis in AXES}, "seed": "seed_base"}
 
 
 def _set_instead(sweep_key: str, text: str):
@@ -367,9 +334,9 @@ def _set_instead(sweep_key: str, text: str):
 def read_sweep_file(path) -> SweepSpec:
     """A sweep file is a flat config file, without GRID_KEYS, plus sweep_* axis keys."""
     parsers = {**CONFIG_PARSERS, **{k: partial(_set_instead, to) for k, to in GRID_KEYS.items()},
-               **{key: parse for key, (_, parse) in SWEEP_KEYS.items()}}
+               **SWEEP_KEYS}
     values = read_config_file(path, parsers)
-    sweep = {SWEEP_KEYS[k][0]: v for k, v in values.items() if k in SWEEP_KEYS}
+    sweep = {k.removeprefix("sweep_"): v for k, v in values.items() if k in SWEEP_KEYS}
     base = {k: v for k, v in values.items() if k not in SWEEP_KEYS}
     return SweepSpec(base=SimConfig(**base), **sweep)
 

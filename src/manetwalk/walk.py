@@ -51,7 +51,6 @@ class TraceEntry:
     neighbor_ids: Tuple[int, ...]
     visit_counts: Tuple[int, ...]
     decision: int  # -1 when stranded
-    moved: bool
 
 
 def _attr(attributes: Optional[np.ndarray], node_id: int) -> float:
@@ -100,14 +99,14 @@ def _hop(token: Token, provider: NeighborProvider, visits: VisitTable,
     if ids.size == 0:
         # Stranded: the token waits in place and the attempt costs nothing.
         if trace is not None:
-            trace.append(TraceEntry(tick_index, token.current_node, (), (), -1, False))
+            trace.append(TraceEntry(tick_index, token.current_node, (), (), -1))
         return False
     counts = visits.counts[ids]
     nxt = decide(ids, counts, rng)
     if trace is not None:
         trace.append(TraceEntry(tick_index, token.current_node,
                                 tuple(int(i) for i in ids),
-                                tuple(int(c) for c in counts), nxt, True))
+                                tuple(int(c) for c in counts), nxt))
     prev = visits.counts[nxt]
     visits.counts[nxt] = prev + 1
     if prev == 0:

@@ -210,9 +210,9 @@ def test_09_link_churn_calibration():
 
 def test_10_sweep_determinism(tmp_path):
     spec = SweepSpec(base=SimConfig(milestones=(0.5, 1.0)),
-                     n_nodes=(60, 80), speeds=(7.0,),
-                     models=("random_direction",),
-                     strategies=("self_repelling", "pure_random"),
+                     n_nodes=(60, 80), speed_avg=(7.0,),
+                     mobility_model=("random_direction",),
+                     walk_strategy=("self_repelling", "pure_random"),
                      replicates=2, seed_base=42)
     blobs = {}
     for name, workers in (("a", 1), ("b", 2), ("c", 1)):

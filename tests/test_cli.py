@@ -187,6 +187,19 @@ def test_sweep_rejects_a_key_the_grid_sets(tmp_path, capsys, line, instead):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("sweep_n_nodes = 30, 30", "sweep_n_nodes repeats 30"),
+    ("sweep_speed_avg = 7, 7.0", "sweep_speed_avg repeats 7.0"),
+])
+def test_sweep_rejects_a_repeated_axis_value(tmp_path, capsys, line, message):
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(f"{line}\nreplicates = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key, text", [
     (["run", "--config"], "n_nodes", "n_nodes = 30\nseed = 4\nn_nodes = 50\n"),
     (["sweep", "--spec"], "sweep_n_nodes",

@@ -24,8 +24,8 @@ REPLICATES = 40
 @pytest.mark.skipif(not FULL, reason="set MANETWALK_FULL=1 to run the N=1000 grid")
 def test_full_scale_overhead_and_log_growth():
     spec = SweepSpec(base=SimConfig(milestones=MILESTONES), n_nodes=SIZES,
-                     speeds=(7.0,), models=("random_direction",),
-                     strategies=("self_repelling",), replicates=REPLICATES,
+                     speed_avg=(7.0,), mobility_model=("random_direction",),
+                     walk_strategy=("self_repelling",), replicates=REPLICATES,
                      seed_base=1000)
     records = run_sweep(spec, workers=min(4, os.cpu_count() or 1))
     assert not any(r.timed_out or r.error for r in records)

@@ -1,8 +1,8 @@
+import hashlib
 import math
 import os
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from manetwalk import harness
@@ -10,18 +10,18 @@ from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph
 from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
                                SweepSpec, derive_seed, emit_csv, emit_trace,
-                               figdata, parse_trace, read_sweep_file, run_single,
+                               figdata, read_sweep_file, run_single,
                                run_sweep, summarize, summarize_runs_csv,
                                sweep_points, validate_spec)
 from manetwalk.metrics import MilestoneSnapshot, RunRecord
-from manetwalk.walk import VisitTable, World, choose_next_self_repelling, run_walk
+from manetwalk.walk import VisitTable, World, run_walk
 
 FAST_BASE = SimConfig(n_nodes=40, milestones=(0.5, 1.0))
 
 
 def _spec(**kw):
-    defaults = dict(base=FAST_BASE, n_nodes=(30, 40), speeds=(7.0,),
-                    models=("random_direction",), strategies=("self_repelling",),
+    defaults = dict(base=FAST_BASE, n_nodes=(30, 40), speed_avg=(7.0,),
+                    mobility_model=("random_direction",), walk_strategy=("self_repelling",),
                     replicates=2, seed_base=5)
     defaults.update(kw)
     return SweepSpec(**defaults)
@@ -41,20 +41,38 @@ def test_seed_derivation_stable_and_injective():
                      for p in points for r in range(4)]
 
 
-def test_validate_spec_rejects_bad_axes(monkeypatch):
+# The default grid's points and seeds as first derived; a change here re-seeds every sweep.
+DEFAULT_GRID_SHA256 = "6e19cbb7d4c139ec399f63ffdd95426e1d6936bbb7ca0479524839d61db5c265"
+
+
+def test_default_grid_seeds_pinned():
+    spec = validate_spec(SweepSpec(base=SimConfig()))
+    points = sweep_points(spec)
+    seeds = [derive_seed(spec.seed_base, p, r) for p in points for r in range(spec.replicates)]
+    assert (len(points), len(seeds)) == (64, 640)
+    assert points[0] == (100, 3.0, "random_direction", "self_repelling")
+    assert seeds[:2] == [17488749180957817603, 2171181579207911508]
+    assert hashlib.sha256(repr((points, seeds)).encode()).hexdigest() == DEFAULT_GRID_SHA256
+
+
+def test_validate_spec_rejects_bad_axes():
     with pytest.raises(ConfigError):
         validate_spec(_spec(replicates=0))
+    with pytest.raises(ConfigError, match="^sweep_mobility_model needs at least one value$"):
+        validate_spec(_spec(mobility_model=()))
     with pytest.raises(ConfigError):
-        validate_spec(_spec(models=()))
-    with pytest.raises(ConfigError):
-        validate_spec(_spec(strategies=("hamiltonian",)))
+        validate_spec(_spec(walk_strategy=("hamiltonian",)))
     with pytest.raises(ConfigError):  # 1 m/s minus the 2 m/s half-width
-        validate_spec(_spec(speeds=(7.0, 1.0)))
+        validate_spec(_spec(speed_avg=(7.0, 1.0)))
     with pytest.raises(ConfigError):  # ln(1) = 0 derives no comm_range
         validate_spec(_spec(n_nodes=(1, 40)))
-    monkeypatch.setattr(harness, "derive_seed", lambda seed_base, point, replicate: 7)
-    with pytest.raises(ConfigError, match="seed derivation collided"):
-        validate_spec(_spec())
+    # A repeated value is a repeated grid point: its runs would share seeds.
+    with pytest.raises(ConfigError, match="^sweep_n_nodes repeats 30$"):
+        validate_spec(_spec(n_nodes=(30, 40, 30)))
+    with pytest.raises(ConfigError, match=r"^sweep_speed_avg repeats 7\.0$"):
+        validate_spec(_spec(speed_avg=(7, 7.0)))
+    with pytest.raises(ConfigError, match="^sweep_mobility_model repeats static$"):
+        validate_spec(_spec(mobility_model=("static", "random_direction", "static")))
 
 
 def test_sweep_single_point():
@@ -64,7 +82,7 @@ def test_sweep_single_point():
 
 
 def test_sweep_counts_and_canonical_order():
-    spec = _spec(n_nodes=(30, 40), strategies=("self_repelling", "pure_random"),
+    spec = _spec(n_nodes=(30, 40), walk_strategy=("self_repelling", "pure_random"),
                  replicates=5)
     records = run_sweep(spec)
     assert len(records) == 2 * 2 * 5
@@ -72,6 +90,32 @@ def test_sweep_counts_and_canonical_order():
     expected = [(n, s, rep) for n in (30, 40)
                 for s in ("self_repelling", "pure_random") for rep in range(5)]
     assert coords == expected
+
+
+@pytest.mark.parametrize("n_nodes, replicates, workers, pool_sizes", [
+    ((30, 40), 2, 8, [4]), ((30, 40), 2, 3, [3]), ((40,), 1, 8, [])])
+def test_sweep_pool_has_no_more_workers_than_runs(monkeypatch, n_nodes, replicates, workers,
+                                                  pool_sizes):
+    # Under fork the pool starts all max_workers processes at its first task.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+    records = run_sweep(_spec(n_nodes=n_nodes, replicates=replicates), workers=workers)
+    assert len(records) == len(n_nodes) * replicates
+    assert sizes == pool_sizes
 
 
 def test_sweep_deterministic_across_workers(tmp_path):
@@ -204,8 +248,8 @@ def test_summarize_runs_csv_round_trip(tmp_path):
     # The second grid times out its pure-random runs before full coverage, so
     # some milestones are reached by no run, and it includes static runs.
     short = replace(FAST_BASE, max_sim_time=8.0)
-    specs = (_spec(), _spec(base=short, models=("random_direction", "static"),
-                            strategies=("self_repelling", "pure_random")))
+    specs = (_spec(), _spec(base=short, mobility_model=("random_direction", "static"),
+                            walk_strategy=("self_repelling", "pure_random")))
     for name, spec in zip("ab", specs):
         records = run_sweep(spec)
         paths = emit_csv(records, tmp_path / name)
@@ -235,26 +279,29 @@ def test_summarize_runs_csv_round_trip(tmp_path):
                 assert x == y or math.isclose(float(x), float(y), rel_tol=1e-7)
 
 
-def test_trace_round_trip_and_replay(tmp_path):
-    cfg = validate_config(SimConfig(n_nodes=30, seed=6))
+def _schema_line(entry):
+    # docs/output-schema.md: <tick> <node> <id:visits,...|-> <decision|-> <moved|stranded>
+    pairs = ",".join(f"{i}:{c}" for i, c in zip(entry.neighbor_ids, entry.visit_counts))
+    if entry.decision == -1:
+        return f"{entry.tick_index} {entry.node} {pairs or '-'} - stranded"
+    return f"{entry.tick_index} {entry.node} {pairs} {entry.decision} moved"
+
+
+def test_trace_lines_follow_the_schema(tmp_path):
+    # A comm_range below the derived 13 m strands the token on some attempts.
+    cfg = validate_config(SimConfig(n_nodes=30, seed=1, comm_range=9.0))
     trace = []
     record = run_single(cfg, trace=trace)
     assert not record.timed_out
+    assert any(e.decision == -1 for e in trace) and any(e.decision != -1 for e in trace)
+    assert all((e.decision == -1) == (e.neighbor_ids == ()) for e in trace)
     path = tmp_path / "trace.txt"
-    start = int(rng_stream(6, "walk").integers(30))
-    emit_trace(trace, path, 30, 6, start)
-    meta, entries = parse_trace(path)
-    assert meta == {"n_nodes": 30, "seed": 6, "start": start}
-    assert entries == trace
-
-    rng = rng_stream(6, "walk")
-    assert int(rng.integers(30)) == start
-    for entry in entries:
-        if not entry.moved:
-            continue
-        got = choose_next_self_repelling(np.array(entry.neighbor_ids),
-                                         np.array(entry.visit_counts), rng)
-        assert got == entry.decision
+    start = int(rng_stream(1, "walk").integers(30))
+    emit_trace(trace, path, 30, 1, start)
+    assert path.read_text().splitlines() == [
+        f"# n_nodes=30 seed=1 start={start}",
+        "# tick node neighbors(id:visits,...) decision outcome",
+    ] + [_schema_line(e) for e in trace]
 
 
 def test_trace_complete3_has_two_hop_lines(tmp_path):
@@ -291,15 +338,16 @@ def test_read_sweep_file(tmp_path):
     spec = read_sweep_file(path)
     assert spec.base.density == 0.05
     assert spec.n_nodes == (30, 40)
-    assert spec.speeds == (3.0, 7.0)
-    assert spec.strategies == ("self_repelling", "pure_random")
+    assert spec.speed_avg == (3.0, 7.0)
+    assert spec.mobility_model == ("random_direction",)
+    assert spec.walk_strategy == ("self_repelling", "pure_random")
     assert spec.replicates == 3
     assert spec.seed_base == 12
     assert len(sweep_points(spec)) == 8
 
 
 def test_figdata_outputs(tmp_path):
-    spec = _spec(strategies=("self_repelling", "pure_random"))
+    spec = _spec(walk_strategy=("self_repelling", "pure_random"))
     emit_csv(run_sweep(spec), tmp_path)
     for fig in ("fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5"):
         path = figdata(fig, tmp_path)

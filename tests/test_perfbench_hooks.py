@@ -6,6 +6,8 @@ them breaks `perfbench/run.py --trace 1` and the self-test, so installing
 every span and starting every planted fault here fails first.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +51,21 @@ def test_traced_neighbor_queries_are_the_hop_attempts(monkeypatch, provider):
         tracer.restore()
     assert token.hops > 0
     assert tracer.calls("graphs.neighbor_query") == tracer.calls("walk.hop") == token.hops
+
+
+def test_selftest_fails_an_operation_for_every_planted_fault(monkeypatch):
+    # Resolving a patch point is not enough: each fault must still reach a check.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import selftest
+
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "self-test passed"
+    cases = list(selftest.cases())
+    assert len(lines) == len(cases) + 1
+    for line, (name, _, fault) in zip(lines, cases):
+        assert line.startswith(f"ok  {name}: "), line
+        failed = int(line.split(": ", 1)[1].split("/")[0])
+        assert (failed > 0) == (fault is not None), line
