@@ -6,8 +6,8 @@ from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
                      NeighborProvider, PathGraph, StaticGraph, TorusLattice,
                      UnknownNodeError, disk_edges)
 from .harness import (SummaryRow, SweepSpec, build_run, derive_seed, emit_csv,
-                      emit_trace, figdata, read_sweep_file, run_single, run_sweep,
-                      summarize, validate_spec)
+                      emit_trace, figdata, read_sweep_file, run_rows, run_single,
+                      run_sweep, summarize, validate_spec)
 from .metrics import (MilestoneSnapshot, RunRecord, churn_rate, exploration_overhead,
                       visit_histogram, visit_variance)
 from .mobility import MobilityState, init_deployment, step_all

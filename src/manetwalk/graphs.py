@@ -47,6 +47,17 @@ class StaticGraph(NeighborProvider):
         return self._rows[node_id]
 
 
+def component_size(provider: NeighborProvider, node_id: int) -> int:
+    """How many nodes the graph as it stands connects to node_id, the node included."""
+    seen = np.zeros(provider.n_nodes, dtype=bool)
+    frontier = [node_id]
+    while frontier:
+        seen[frontier] = True
+        reached = np.concatenate([provider.neighbor_ids(u) for u in frontier])
+        frontier = np.unique(reached[~seen[reached]]).tolist()
+    return int(np.count_nonzero(seen))
+
+
 def rows_from_keys(keys: np.ndarray, n_nodes: int) -> List[np.ndarray]:
     """The sorted neighbor rows of the graph whose edges are the keys i * N + j, i < j."""
     lows, highs = np.divmod(keys, n_nodes)

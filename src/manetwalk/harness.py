@@ -8,7 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import product
+from itertools import product, zip_longest
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .core import (CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig, geometry_for,
                    list_of, read_config_file, rng_stream, validate_config)
 from .graphs import DiskGraph, StaticGraph, rows_from_keys
-from .metrics import MilestoneSnapshot, RunRecord
+from .metrics import RunRecord, exploration_overhead
 from .mobility import init_deployment
 from .walk import TraceEntry, VisitTable, World, run_walk
 
@@ -142,46 +142,75 @@ SUMMARY_COLUMNS = POINT_COLUMNS + (
     "mean_overhead", "std_overhead", "mean_hops", "mean_sim_time", "mean_churn_rate")
 
 
+# One run at one configured milestone. A cell the run did not measure is None: the
+# milestone cells of a milestone it fell short of, and every run cell of a failed run.
+RunRow = namedtuple("RunRow", RUNS_COLUMNS)
+
 # Aggregate over the completed replicates of one sweep point at one milestone.
 SummaryRow = namedtuple("SummaryRow", SUMMARY_COLUMNS)
+
+# runs.csv column -> the parser of its non-empty cells; the columns left out are floats.
+_RUN_PARSERS = {**{c: CONFIG_PARSERS[c] for c in POINT_COLUMNS},
+                **dict.fromkeys(("replicate", "seed", "waiting_ticks", "hops", "unique_visited"),
+                                int),
+                "timed_out": lambda cell: cell == "1"}
 
 
 def _point_of(config: SimConfig) -> Tuple:
     return tuple(getattr(config, c) for c in POINT_COLUMNS)
 
 
-def summarize(records: Iterable[RunRecord]) -> List[SummaryRow]:
+def run_rows(records: Iterable[RunRecord]) -> List[RunRow]:
+    """One row per configured milestone per run, in the order of the records."""
+    rows = []
+    for rec in records:
+        failed = rec.error is not None
+        head = _point_of(rec.config) + (rec.replicate, rec.seed) + (
+            (None,) * 3 if failed else (rec.timed_out, rec.waiting_ticks, rec.churn_rate))
+        # A run takes its milestones in order, so the ones it reached come first.
+        for target, snap in zip_longest(rec.config.milestones, rec.milestones):
+            cells = (None,) * 6 if snap is None else (
+                snap.achieved_coverage, snap.sim_time, snap.hops, snap.unique_visited,
+                snap.overhead, snap.visit_variance)
+            rows.append(RunRow(*head, target, *cells))
+    return rows
+
+
+def summarize(rows: Iterable[RunRow]) -> List[SummaryRow]:
     """Means and standard deviations per sweep point per milestone.
 
-    Aggregates use completed (non-timed-out, non-failed) runs only; timed-out
-    and failed counts are reported alongside. Standard deviations are
-    population deviations, so a single run reports 0.
+    The rows of one (replicate, seed) at a point are one run: timed out if its
+    timed_out is True, failed if None, completed if False. A point's milestones
+    are its first run's. Aggregates use completed runs only, and overhead is
+    recomputed from hops and unique_visited, so rows read back from runs.csv
+    give the records' overheads exactly. Standard deviations are population
+    deviations, so a single run reports 0.
     """
-    groups: Dict[Tuple, List[RunRecord]] = {}
-    for rec in records:
-        groups.setdefault(_point_of(rec.config), []).append(rec)
+    points: Dict[Tuple, Dict[Tuple, List[RunRow]]] = {}
+    for row in rows:
+        by_run = points.setdefault(row[:len(POINT_COLUMNS)], {})
+        by_run.setdefault((row.replicate, row.seed), []).append(row)
 
-    rows: List[SummaryRow] = []
-    for key, group in groups.items():
-        complete = [r for r in group if not r.timed_out and r.error is None]
-        timed_out = sum(1 for r in group if r.timed_out)
-        failed = sum(1 for r in group if r.error is not None)
-        targets = group[0].config.milestones
-        for target in targets:
-            snaps = [s for r in complete for s in r.milestones
-                     if s.target_coverage == target]
+    out: List[SummaryRow] = []
+    for point, by_run in points.items():
+        runs = list(by_run.values())
+        status = [run[0].timed_out for run in runs]
+        complete = [run for run in runs if run[0].timed_out is False]
+        for target in [row.milestone for row in runs[0]]:
+            snaps = [row for run in complete for row in run if row.milestone == target]
             if snaps:
-                overheads = np.array([s.overhead for s in snaps])
-                mean_ov = float(overheads.mean())
-                std_ov = float(overheads.std())
+                overheads = np.array([exploration_overhead(s.hops, s.unique_visited)
+                                      for s in snaps])
+                mean_ov, std_ov = float(overheads.mean()), float(overheads.std())
                 mean_hops = float(np.mean([s.hops for s in snaps]))
                 mean_time = float(np.mean([s.sim_time for s in snaps]))
-                mean_churn = float(np.mean([r.churn_rate for r in complete]))
+                mean_churn = float(np.mean([run[0].churn_rate for run in complete]))
             else:
                 mean_ov = std_ov = mean_hops = mean_time = mean_churn = None
-            rows.append(SummaryRow(*key, target, len(group), len(complete), timed_out, failed,
-                                   mean_ov, std_ov, mean_hops, mean_time, mean_churn))
-    return rows
+            out.append(SummaryRow(*point, target, len(runs), len(complete), status.count(True),
+                                  status.count(None), mean_ov, std_ov, mean_hops, mean_time,
+                                  mean_churn))
+    return out
 
 
 # --- CSV emission ------------------------------------------------------------
@@ -199,36 +228,16 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _cells(*values) -> List[str]:
-    return [fmt(v) for v in values]
-
-
-def run_rows(records: Iterable[RunRecord]) -> List[List[str]]:
+def histogram_rows(records: Iterable[RunRecord]) -> List[tuple]:
     rows = []
     for rec in records:
-        head = _cells(*_point_of(rec.config), rec.replicate, rec.seed, rec.timed_out,
-                      rec.waiting_ticks, rec.churn_rate)
-        for snap in rec.milestones:
-            rows.append(head + _cells(snap.target_coverage, snap.achieved_coverage,
-                                      snap.sim_time, snap.hops, snap.unique_visited,
-                                      snap.overhead, snap.visit_variance))
-    return rows
-
-
-def histogram_rows(records: Iterable[RunRecord]) -> List[List[str]]:
-    rows = []
-    for rec in records:
-        head = _cells(*_point_of(rec.config), rec.replicate, rec.seed)
+        head = _point_of(rec.config) + (rec.replicate, rec.seed)
         for snap in rec.milestones:
             for visits in sorted(snap.histogram):
                 count = snap.histogram[visits]
-                rows.append(head + _cells(snap.target_coverage, visits, count,
-                                          count / rec.config.n_nodes))
+                rows.append(head + (snap.target_coverage, visits, count,
+                                    count / rec.config.n_nodes))
     return rows
-
-
-def summary_rows(summary: Iterable[SummaryRow]) -> List[List[str]]:
-    return [[fmt(v) for v in s] for s in summary]
 
 
 @contextmanager
@@ -245,19 +254,20 @@ def _write_csv(path, header, rows) -> None:
     with _writing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([fmt(v) for v in row] for row in rows)
 
 
 def emit_csv(records: Sequence[RunRecord], out_dir) -> Dict[str, str]:
-    """Write runs.csv, summary.csv and histograms.csv; returns the paths."""
+    """Write runs.csv, summary.csv (summarized from the runs.csv rows) and histograms.csv."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "runs": os.path.join(out_dir, "runs.csv"),
         "summary": os.path.join(out_dir, "summary.csv"),
         "histograms": os.path.join(out_dir, "histograms.csv"),
     }
-    _write_csv(paths["runs"], RUNS_COLUMNS, run_rows(records))
-    _write_csv(paths["summary"], SUMMARY_COLUMNS, summary_rows(summarize(records)))
+    rows = run_rows(records)
+    _write_csv(paths["runs"], RUNS_COLUMNS, rows)
+    _write_csv(paths["summary"], SUMMARY_COLUMNS, summarize(rows))
     _write_csv(paths["histograms"], HIST_COLUMNS, histogram_rows(records))
     return paths
 
@@ -275,46 +285,13 @@ def emit_trace(trace: Sequence[TraceEntry], path, n_nodes: int, seed: int,
                      f"{'moved' if moved else 'stranded'}\n")
 
 
-def _records_from_runs_csv(path) -> List[RunRecord]:
-    """Read runs.csv back into just enough of each record for summarize.
-
-    Only the sweep-point fields, the seed, the replicate and the milestone data
-    are recovered; every other config field takes its default and histograms
-    are empty. Failed runs and runs that reached no milestone are not in the
-    file. Each config's milestones are the targets seen at its sweep point.
-    """
-    records: Dict[Tuple, RunRecord] = {}
-    targets: Dict[Tuple, set] = {}
-    for row in _read_csv(path):
-        point = tuple(row[c] for c in POINT_COLUMNS)
-        key = point + (row["replicate"], row["seed"])
-        if key not in records:
-            config = SimConfig(**{c: CONFIG_PARSERS[c](row[c]) for c in POINT_COLUMNS},
-                               seed=int(row["seed"]))
-            records[key] = RunRecord(config, timed_out=row["timed_out"] == "1",
-                                     churn_rate=float(row["churn_rate"]),
-                                     waiting_ticks=int(row["waiting_ticks"]),
-                                     replicate=int(row["replicate"]))
-        records[key].milestones.append(MilestoneSnapshot(
-            float(row["milestone"]), float(row["achieved_coverage"]), float(row["sim_time"]),
-            int(row["hops"]), int(row["unique_visited"]), float(row["overhead"]), {},
-            float(row["visit_variance"])))
-        targets.setdefault(point, set()).add(float(row["milestone"]))
-    for key, rec in records.items():
-        rec.config.milestones = tuple(sorted(targets[key[:-2]]))
-    return list(records.values())
-
-
 def summarize_runs_csv(out_dir) -> str:
-    """Rebuild summary.csv from runs.csv through summarize.
-
-    Failed runs and unreached milestones leave no rows in runs.csv, so `failed`
-    reads 0 and those milestones are absent; the sweep command's in-memory
-    summary is authoritative for them.
-    """
-    records = _records_from_runs_csv(os.path.join(out_dir, "runs.csv"))
+    """Rebuild summary.csv by summarize over the rows of runs.csv, an empty cell as None."""
+    rows = [RunRow(*(_RUN_PARSERS.get(c, float)(row[c]) if row[c] else None
+                     for c in RUNS_COLUMNS))
+            for row in _read_csv(os.path.join(out_dir, "runs.csv"))]
     path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, SUMMARY_COLUMNS, summary_rows(summarize(records)))
+    _write_csv(path, SUMMARY_COLUMNS, summarize(rows))
     return path
 
 

@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import SimConfig
-from .graphs import LinkEventCounter, NeighborProvider
+from .graphs import LinkEventCounter, NeighborProvider, component_size
 from .metrics import (MilestoneSnapshot, RunRecord, churn_rate,
                       exploration_overhead, visit_histogram, visit_variance)
 from .mobility import MobilityState, step_all
@@ -182,12 +182,15 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     """Run one token to full coverage, interleaving mobility ticks and hop attempts.
 
     Per tick: count the tick, move the nodes, then (every hop_interval)
-    attempt one hop and (every second of simulated time) snapshot the edge keys
-    for link-churn accounting. Only a world with mobility state moves and
+    attempt one hop and (every max(1, round(1 / tick)) ticks) snapshot the edge
+    keys for link-churn accounting. Only a world with mobility state moves and
     snapshots, over a DiskGraph of its positions. A milestone snapshot is taken
     the first time coverage reaches each configured target, at the tick count
     times config.tick (one product, never a float sum). Node attributes are the
     node ids. The run ends at full coverage, or timed_out at max_sim_time.
+    Without mobility or a trace, a run ends timed_out once it has taken every
+    milestone its token's component can reach, with the full loop's record; the
+    world's visits and token then stop short of the full loop's.
     """
     n = provider.n_nodes
     visits = world.visits
@@ -197,6 +200,10 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     thresholds = milestone_thresholds(config.milestones, n)
     snapshots: List[MilestoneSnapshot] = []
     pending = 0
+    # A graph that never changes takes no milestone beyond the token's component.
+    fixed = world.mobility is None and trace is None
+    component = component_size(provider, token.current_node) if fixed else n
+    reachable = sum(k <= component for _, k in thresholds)
     hop_every = round(config.hop_interval / config.tick)
     link_every = max(1, round(1.0 / config.tick))
     max_ticks = int(math.floor(config.max_sim_time / config.tick + 1e-9))
@@ -213,7 +220,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
             snapshots.append(_snapshot(thresholds[pending][0], token, visits, n,
                                        tick * config.tick))
             pending += 1
-        if pending == len(thresholds) or tick >= max_ticks:
+        if pending == reachable or tick >= max_ticks:
             break
         tick += 1
         hop_due = tick % hop_every == 0
@@ -226,6 +233,8 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
         if link_due:
             churn.observe(provider.edge_keys())
 
+    if pending < len(thresholds) and component == 1:  # a wait at every attempt left
+        waiting_ticks += max_ticks // hop_every - tick // hop_every
     rate = 0.0
     if churn is not None and churn.duration > 0:
         rate = churn_rate(churn, n)

@@ -6,7 +6,7 @@ import pytest
 
 from manetwalk.cli import build_parser, main
 from manetwalk.core import CONFIG_PARSERS, SimConfig, rng_stream
-from manetwalk.harness import SUMMARY_COLUMNS, derive_seed, fmt
+from manetwalk.harness import FIGURES, SUMMARY_COLUMNS, derive_seed, fmt
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -119,25 +119,27 @@ def test_bad_flag_exits_1(capsys):
 def test_sweep_summarize_figdata_pipeline(tmp_path, capsys):
     spec = tmp_path / "sweep.cfg"
     spec.write_text(
-        "milestones = 0.5, 1.0\n"
+        "milestones = 0.5, 0.85, 1.0\n"
         "sweep_n_nodes = 30, 40\n"
-        "sweep_speed_avg = 7\n"
-        "sweep_mobility_model = random_direction\n"
-        "sweep_walk_strategy = self_repelling\n"
-        "replicates = 2\n"
+        "sweep_speed_avg = 3, 7\n"
+        "sweep_mobility_model = random_direction, random_waypoint\n"
+        "sweep_walk_strategy = self_repelling, pure_random\n"
+        "replicates = 3\n"
         "seed_base = 3\n")
     out = tmp_path / "out"
     rc = main(["sweep", "--spec", str(spec), "--workers", "2", "--out", str(out)])
     assert rc == 0
-    assert "sweep finished: 4/4 runs completed" in capsys.readouterr().out
+    assert "sweep finished: 48/48 runs completed" in capsys.readouterr().out
 
-    summary_before = (out / "summary.csv").read_bytes()
+    def figures():
+        for fig in FIGURES:
+            assert main(["figdata", fig, "--out", str(out)]) == 0
+        return {fig: (out / f"{fig}.dat").read_bytes() for fig in FIGURES}
+
+    # summarize rebuilds the sweep's summary.csv from runs.csv, so every figure reads the same.
+    before = figures()
     assert main(["summarize", "--out", str(out)]) == 0
-    assert (out / "summary.csv").read_bytes().splitlines()[0] == \
-        summary_before.splitlines()[0]
-
-    assert main(["figdata", "fig2b", "--out", str(out)]) == 0
-    assert (out / "fig2b.dat").exists()
+    assert figures() == before
 
 
 def test_sweep_writes_exactly_the_spec_grid(tmp_path, capsys):
@@ -159,11 +161,11 @@ def test_sweep_writes_exactly_the_spec_grid(tmp_path, capsys):
         summary = [(r["n_nodes"], r["mobility_model"], r["speed_avg"], r["walk_strategy"],
                     r["milestone"], r["runs"]) for r in csv.DictReader(fh)]
     assert summary == [("30", "static", fmt(v), s, "1", "1") for v, s in grid]
-    # A static run on a disconnected deployment reaches no milestone and writes no row.
+    # One row per run, at its one milestone, reached or not.
     seeds = {(fmt(v), s): str(derive_seed(4, (30, v, "static", s), 0)) for v, s in grid}
     with open(out / "runs.csv") as fh:
         rows = list(csv.DictReader(fh))
-    assert rows
+    assert len(rows) == len(grid)
     for r in rows:
         assert (r["n_nodes"], r["mobility_model"], r["replicate"]) == ("30", "static", "0")
         assert seeds[r["speed_avg"], r["walk_strategy"]] == r["seed"]

@@ -1,16 +1,19 @@
+import csv
 import hashlib
 import math
 import os
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from manetwalk import harness
 from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph
-from manetwalk.harness import (HIST_COLUMNS, RUNS_COLUMNS, SUMMARY_COLUMNS,
-                               SweepSpec, derive_seed, emit_csv, emit_trace,
-                               figdata, read_sweep_file, run_single,
+from manetwalk.harness import (HIST_COLUMNS, POINT_COLUMNS, RUNS_COLUMNS,
+                               SUMMARY_COLUMNS, SweepSpec, derive_seed, emit_csv, emit_trace,
+                               figdata, read_sweep_file, run_rows, run_single,
                                run_sweep, summarize, summarize_runs_csv,
                                sweep_points, validate_spec)
 from manetwalk.metrics import MilestoneSnapshot, RunRecord
@@ -30,6 +33,11 @@ def _spec(**kw):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def test_seed_derivation_stable_and_injective():
@@ -151,7 +159,7 @@ def test_sweep_records_failures_without_aborting(monkeypatch):
 
 
 @pytest.mark.parametrize("failing", [0, 1])
-def test_failed_run_summary_uses_normalized_milestones(monkeypatch, failing):
+def test_failed_run_summary_uses_normalized_milestones(monkeypatch, tmp_path, failing):
     # Raw milestones (1.0, 0.5, 0.5) validate to (0.5, 1.0), whichever replicate fails.
     deploy = harness.init_deployment
     spec = _spec(base=replace(FAST_BASE, milestones=(1.0, 0.5, 0.5)), n_nodes=(40,))
@@ -166,21 +174,33 @@ def test_failed_run_summary_uses_normalized_milestones(monkeypatch, failing):
     records = run_sweep(spec)
     assert [r.error is not None for r in records] == [failing == 0, failing == 1]
     assert all(r.config.milestones == (0.5, 1.0) for r in records)
-    rows = summarize(records)
+    rows = summarize(run_rows(records))
     assert [r.milestone for r in rows] == [0.5, 1.0]
     assert all((r.runs, r.completed, r.failed) == (2, 1, 1) for r in rows)
+    # The failed run writes a row per milestone, its measured cells empty, so the
+    # summary rebuilt from runs.csv counts it too.
+    paths = emit_csv(records, tmp_path)
+    failed = [r for r in _read_csv(paths["runs"]) if r["seed"] == str(failing_seed)]
+    assert [r["milestone"] for r in failed] == ["0.5", "1"]
+    measured = set(RUNS_COLUMNS[7:]) - {"milestone"}
+    assert all(r[c] == "" for r in failed for c in measured)
+    summary = _read(paths["summary"])
+    summarize_runs_csv(tmp_path)
+    assert _read(paths["summary"]) == summary
+    assert [r["failed"] for r in _read_csv(paths["summary"])] == ["1", "1"]
 
 
 def _fake_record(overheads_by_target, timed_out=False, n=40, seed=1, replicate=0):
+    # summarize recomputes overhead, so each snapshot takes the hops that give it.
     cfg = validate_config(replace(FAST_BASE, n_nodes=n, seed=seed))
-    snaps = [MilestoneSnapshot(t, t, 1.0, int(t * n), int(t * n), ov, {1: n}, 0.1)
+    snaps = [MilestoneSnapshot(t, t, 1.0, round(ov * t * n) - 1, int(t * n), ov, {1: n}, 0.1)
              for t, ov in overheads_by_target.items()]
     return RunRecord(config=cfg, milestones=snaps, timed_out=timed_out,
                      churn_rate=2.0, replicate=replicate)
 
 
 def test_summarize_single_record_zero_stddev():
-    rows = summarize([_fake_record({0.5: 1.0, 1.0: 1.4})])
+    rows = summarize(run_rows([_fake_record({0.5: 1.0, 1.0: 1.4})]))
     row = [r for r in rows if r.milestone == 1.0][0]
     assert row.mean_overhead == 1.4
     assert row.std_overhead == 0.0
@@ -190,7 +210,7 @@ def test_summarize_single_record_zero_stddev():
 def test_summarize_mean_of_two():
     records = [_fake_record({0.5: 1.0, 1.0: 1.0}, seed=1, replicate=0),
                _fake_record({0.5: 1.0, 1.0: 2.0}, seed=2, replicate=1)]
-    rows = summarize(records)
+    rows = summarize(run_rows(records))
     row = [r for r in rows if r.milestone == 1.0][0]
     assert row.mean_overhead == 1.5
     assert row.runs == 2
@@ -199,7 +219,7 @@ def test_summarize_mean_of_two():
 def test_summarize_excludes_timed_out():
     records = [_fake_record({0.5: 1.0, 1.0: 1.2}, seed=1),
                _fake_record({0.5: 3.0}, timed_out=True, seed=2, replicate=1)]
-    rows = summarize(records)
+    rows = summarize(run_rows(records))
     half = [r for r in rows if r.milestone == 0.5][0]
     assert half.mean_overhead == 1.0  # the timed-out run's 3.0 is not aggregated
     assert half.timed_out == 1
@@ -208,7 +228,7 @@ def test_summarize_excludes_timed_out():
 
 def test_summarize_all_timed_out_point():
     records = [_fake_record({0.5: 3.0}, timed_out=True)]
-    rows = summarize(records)
+    rows = summarize(run_rows(records))
     assert len(rows) == 2  # one per configured milestone, even unreached 1.0
     for row in rows:
         assert row.mean_overhead is None
@@ -241,7 +261,7 @@ def test_runs_csv_row_count_matches_milestones(tmp_path):
     records = run_sweep(_spec())
     paths = emit_csv(records, tmp_path)
     lines = _read(paths["runs"]).decode().splitlines()
-    assert len(lines) - 1 == sum(len(r.milestones) for r in records)
+    assert len(lines) - 1 == sum(len(r.config.milestones) for r in records)
 
 
 def test_summarize_runs_csv_round_trip(tmp_path):
@@ -256,27 +276,42 @@ def test_summarize_runs_csv_round_trip(tmp_path):
         original = _read(paths["summary"])
         os.remove(paths["summary"])
         summarize_runs_csv(tmp_path / name)
-        rebuilt = _read(paths["summary"])
-        run_rows = [r.split(",") for r in _read(paths["runs"]).decode().splitlines()[1:]]
-        reached = {tuple(r[:5]) + (r[10],) for r in run_rows}
-        orig_rows = original.decode().splitlines()
-        new_rows = rebuilt.decode().splitlines()
-        assert new_rows[0] == orig_rows[0]
-        # milestones no run reached leave no row in runs.csv, so none in the rebuild
-        kept = [r for r in orig_rows[1:] if tuple(r.split(",")[:6]) in reached]
-        assert len(new_rows) - 1 == len(kept)
-        if name == "a":
-            # every milestone is reached, so no row may be dropped
-            assert kept == orig_rows[1:]
+        orig_rows = [r.split(",") for r in original.decode().splitlines()]
+        new_rows = [r.split(",") for r in _read(paths["summary"]).decode().splitlines()]
+        assert len(new_rows) == len(orig_rows)
+        # These means average 9-digit cells of runs.csv, so their last digit may differ
+        # (grid a: mean_churn_rate 2.27722222 against 2.27722223); every other cell is equal.
+        averaged = {SUMMARY_COLUMNS.index(c) for c in ("mean_sim_time", "mean_churn_rate")}
+        for a, b in zip(orig_rows, new_rows):
+            for i, (x, y) in enumerate(zip(a, b, strict=True)):
+                assert x == y or (i in averaged and math.isclose(float(x), float(y),
+                                                                 rel_tol=1e-8))
         if name == "b":
-            assert len(kept) < len(orig_rows) - 1
             assert any(r.timed_out for r in records)
             assert any(r.config.mobility_model == "static" for r in records)
-        # numeric content agrees; failed counts (index 9) are unknowable from the file
-        for a, b in zip(kept, new_rows[1:]):
-            assert a.split(",")[:9] == b.split(",")[:9]
-            for x, y in zip(a.split(",")[10:], b.split(",")[10:]):
-                assert x == y or math.isclose(float(x), float(y), rel_tol=1e-7)
+            assert any(r[SUMMARY_COLUMNS.index("mean_overhead")] == "" for r in orig_rows)
+
+
+SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "output-schema.md"
+
+
+def _documented_columns(section):
+    """The columns a table of docs/output-schema.md names, with "point columns" expanded."""
+    text = SCHEMA_DOC.read_text(encoding="utf-8")
+    lines = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0].splitlines()
+    columns = ()
+    for line in [line for line in lines if line.startswith("|")][2:]:  # past the header
+        cell = line.split("|")[1]
+        if cell.strip().startswith("point columns"):
+            columns += POINT_COLUMNS
+        columns += tuple(re.findall(r"`(\w+)`", cell))
+    return columns
+
+
+def test_output_schema_doc_names_every_column():
+    assert _documented_columns("runs.csv") == RUNS_COLUMNS
+    assert _documented_columns("summary.csv") == SUMMARY_COLUMNS
+    assert _documented_columns("histograms.csv") == HIST_COLUMNS
 
 
 def _schema_line(entry):
