@@ -160,18 +160,22 @@ def _point_of(config: SimConfig) -> Tuple:
     return tuple(getattr(config, c) for c in POINT_COLUMNS)
 
 
+def _written(value: float) -> float:
+    return float(fmt(value))  # as runs.csv holds it, so rows read back from it are equal
+
+
 def run_rows(records: Iterable[RunRecord]) -> List[RunRow]:
-    """One row per configured milestone per run, in the order of the records."""
+    """One row per configured milestone per run, its floats rounded as runs.csv writes them."""
     rows = []
     for rec in records:
         failed = rec.error is not None
-        head = _point_of(rec.config) + (rec.replicate, rec.seed) + (
-            (None,) * 3 if failed else (rec.timed_out, rec.waiting_ticks, rec.churn_rate))
+        head = _point_of(rec.config) + (rec.replicate, rec.seed) + ((None,) * 3 if failed else (
+            rec.timed_out, rec.waiting_ticks, _written(rec.churn_rate)))
         # A run takes its milestones in order, so the ones it reached come first.
         for target, snap in zip_longest(rec.config.milestones, rec.milestones):
             cells = (None,) * 6 if snap is None else (
-                snap.achieved_coverage, snap.sim_time, snap.hops, snap.unique_visited,
-                snap.overhead, snap.visit_variance)
+                _written(snap.achieved_coverage), _written(snap.sim_time), snap.hops,
+                snap.unique_visited, _written(snap.overhead), _written(snap.visit_variance))
             rows.append(RunRow(*head, target, *cells))
     return rows
 
@@ -182,9 +186,8 @@ def summarize(rows: Iterable[RunRow]) -> List[SummaryRow]:
     The rows of one (replicate, seed) at a point are one run: timed out if its
     timed_out is True, failed if None, completed if False. A point's milestones
     are its first run's. Aggregates use completed runs only, and overhead is
-    recomputed from hops and unique_visited, so rows read back from runs.csv
-    give the records' overheads exactly. Standard deviations are population
-    deviations, so a single run reports 0.
+    recomputed from hops and unique_visited, exactly as the records hold it.
+    Standard deviations are population deviations, so a single run reports 0.
     """
     points: Dict[Tuple, Dict[Tuple, List[RunRow]]] = {}
     for row in rows:

@@ -188,9 +188,9 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     the first time coverage reaches each configured target, at the tick count
     times config.tick (one product, never a float sum). Node attributes are the
     node ids. The run ends at full coverage, or timed_out at max_sim_time.
-    Without mobility or a trace, a run ends timed_out once it has taken every
-    milestone its token's component can reach, with the full loop's record; the
-    world's visits and token then stop short of the full loop's.
+    Without mobility, a run ends timed_out once it has taken every milestone
+    its token's component can reach, with the full loop's record; the world's
+    visits and token, and a trace, then stop short of the full loop's.
     """
     n = provider.n_nodes
     visits = world.visits
@@ -201,8 +201,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
     snapshots: List[MilestoneSnapshot] = []
     pending = 0
     # A graph that never changes takes no milestone beyond the token's component.
-    fixed = world.mobility is None and trace is None
-    component = component_size(provider, token.current_node) if fixed else n
+    component = component_size(provider, token.current_node) if world.mobility is None else n
     reachable = sum(k <= component for _, k in thresholds)
     hop_every = round(config.hop_interval / config.tick)
     link_every = max(1, round(1.0 / config.tick))

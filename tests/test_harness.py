@@ -1,6 +1,5 @@
 import csv
 import hashlib
-import math
 import os
 import re
 from dataclasses import replace
@@ -276,16 +275,8 @@ def test_summarize_runs_csv_round_trip(tmp_path):
         original = _read(paths["summary"])
         os.remove(paths["summary"])
         summarize_runs_csv(tmp_path / name)
+        assert _read(paths["summary"]) == original
         orig_rows = [r.split(",") for r in original.decode().splitlines()]
-        new_rows = [r.split(",") for r in _read(paths["summary"]).decode().splitlines()]
-        assert len(new_rows) == len(orig_rows)
-        # These means average 9-digit cells of runs.csv, so their last digit may differ
-        # (grid a: mean_churn_rate 2.27722222 against 2.27722223); every other cell is equal.
-        averaged = {SUMMARY_COLUMNS.index(c) for c in ("mean_sim_time", "mean_churn_rate")}
-        for a, b in zip(orig_rows, new_rows):
-            for i, (x, y) in enumerate(zip(a, b, strict=True)):
-                assert x == y or (i in averaged and math.isclose(float(x), float(y),
-                                                                 rel_tol=1e-8))
         if name == "b":
             assert any(r.timed_out for r in records)
             assert any(r.config.mobility_model == "static" for r in records)

@@ -170,11 +170,22 @@ def test_static_run_never_snapshots_and_matches_mobile_path(monkeypatch, n_nodes
     cfg, provider, world, rng = build_run(cfg)
     assert isinstance(provider, StaticGraph)
     assert calls == {"edge_keys": 1}  # the neighbor table, built once
+    decisions = []
+    choose = walk.choose_next_self_repelling
+
+    def listed(ids, counts, rng):
+        decisions.append(ids)
+        return choose(ids, counts, rng)
+
+    monkeypatch.setattr(walk, "choose_next_self_repelling", listed)
     static = run_walk(cfg, provider, world, rng)
     assert world.mobility is None
     assert calls == {"edge_keys": 1}  # and no snapshot
     assert static.timed_out == timed_out
     assert static.churn_rate == 0.0
+    # No attempt after the last milestone: seed 26 covers its 85-node component at
+    # hop 113 and stops there, where the loop to max_sim_time makes 600 attempts.
+    assert len(decisions) == static.milestones[-1].hops
 
     # Reference: the same run on the moving path over the deployed positions, with every
     # node at speed 0 and no epoch ever expiring, so each step adds 0.0 and the positions
@@ -242,9 +253,8 @@ def reference_run(cfg):
     """run_single with all-pairs neighbor queries and edge snapshots, set churn, list decisions.
 
     Nodes move by the index-array reference kernels of tests/test_mobility.py. A
-    static run's neighbor table is built from the all-pairs edge keys, and the
-    trace makes it take every tick to the end, never stopping at its component.
-    Deployment and the RNG streams stay the production ones.
+    static run's neighbor table is built from the all-pairs edge keys. Deployment
+    and the RNG streams stay the production ones.
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(walk, "step_all", reference_step_all)
@@ -253,7 +263,7 @@ def reference_run(cfg):
         patch.setattr(LinkEventCounter, "observe", set_observe)
         patch.setattr(walk, "choose_next_self_repelling", listed_self_repelling)
         patch.setattr(walk, "choose_next_pure_random", listed_pure_random)
-        return run_single(cfg, trace=[])
+        return run_single(cfg)
 
 
 @pytest.mark.parametrize("n_nodes", [20, 40])
@@ -313,28 +323,6 @@ def test_static_run_with_pairs_at_exactly_r_matches_the_reference(monkeypatch):
     record = run_single(cfg)
     assert not record.timed_out
     assert reference_run(cfg) == record
-
-
-def test_static_run_stops_once_its_component_is_covered(monkeypatch):
-    # N=100 seed 26 deploys a disconnected graph; the token covers its 85-node
-    # component at hop 113 and, in the full loop, hops on inside it to the end.
-    cfg = SimConfig(n_nodes=100, mobility_model="static", max_sim_time=120.0, seed=26)
-    decisions = []
-    choose = walk.choose_next_self_repelling
-
-    def counted(ids, counts, rng):
-        decisions.append(ids)
-        return choose(ids, counts, rng)
-
-    monkeypatch.setattr(walk, "choose_next_self_repelling", counted)
-    record = run_single(cfg)
-    assert record.timed_out
-    assert [s.unique_visited for s in record.milestones] == [50, 75, 85]
-    assert len(decisions) == record.milestones[-1].hops == 113
-    assert reference_run(cfg) == record
-    trace = []
-    assert run_single(cfg, trace=trace) == record
-    assert len(trace) == 1200  # traced, the run makes every attempt
 
 
 def test_run_walk_static_complete_graph():
