@@ -6,8 +6,8 @@ import sys
 from dataclasses import fields
 
 from .core import CONFIG_PARSERS, ConfigError, SimConfig, config_from, read_config_file
-from .harness import (FIGURES, SweepSpec, build_run, emit_csv, emit_trace, figdata,
-                      read_sweep_file, run_sweep, summarize_runs_csv)
+from .harness import (FIGURES, POINT_COLUMNS, SweepSpec, build_run, emit_csv, emit_trace,
+                      figdata, fmt, read_sweep_file, run_sweep, summarize_runs_csv)
 from .walk import run_walk
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +83,11 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     spec = read_sweep_file(args.spec) if args.spec else SweepSpec(base=SimConfig())
     records = run_sweep(spec, workers=args.workers)
+    for rec in records:
+        if rec.error is not None:
+            point = " ".join(f"{c}={fmt(getattr(rec.config, c))}" for c in POINT_COLUMNS)
+            print(f"run failed: {point} replicate={rec.replicate} seed={rec.seed}: {rec.error}",
+                  file=sys.stderr)
     paths = emit_csv(records, args.out)
     done = sum(1 for r in records if not r.timed_out and r.error is None)
     print(f"sweep finished: {done}/{len(records)} runs completed "

@@ -108,7 +108,7 @@ def _run_task(args) -> RunRecord:
     try:
         record = run_single(config)
     except Exception as exc:  # a failed run is data, not a sweep abort
-        record = RunRecord(config=config, error=str(exc))
+        record = RunRecord(config=config, error=f"{type(exc).__name__}: {exc}")
     record.replicate = replicate
     return record
 
@@ -153,29 +153,25 @@ SummaryRow = namedtuple("SummaryRow", SUMMARY_COLUMNS)
 _RUN_PARSERS = {**{c: CONFIG_PARSERS[c] for c in POINT_COLUMNS},
                 **dict.fromkeys(("replicate", "seed", "waiting_ticks", "hops", "unique_visited"),
                                 int),
-                "timed_out": lambda cell: cell == "1"}
+                "timed_out": lambda cell: bool(("0", "1").index(cell))}
 
 
 def _point_of(config: SimConfig) -> Tuple:
     return tuple(getattr(config, c) for c in POINT_COLUMNS)
 
 
-def _written(value: float) -> float:
-    return float(fmt(value))  # as runs.csv holds it, so rows read back from it are equal
-
-
 def run_rows(records: Iterable[RunRecord]) -> List[RunRow]:
-    """One row per configured milestone per run, its floats rounded as runs.csv writes them."""
+    """One row per configured milestone per run."""
     rows = []
     for rec in records:
         failed = rec.error is not None
         head = _point_of(rec.config) + (rec.replicate, rec.seed) + ((None,) * 3 if failed else (
-            rec.timed_out, rec.waiting_ticks, _written(rec.churn_rate)))
+            rec.timed_out, rec.waiting_ticks, rec.churn_rate))
         # A run takes its milestones in order, so the ones it reached come first.
         for target, snap in zip_longest(rec.config.milestones, rec.milestones):
             cells = (None,) * 6 if snap is None else (
-                _written(snap.achieved_coverage), _written(snap.sim_time), snap.hops,
-                snap.unique_visited, _written(snap.overhead), _written(snap.visit_variance))
+                snap.achieved_coverage, snap.sim_time, snap.hops,
+                snap.unique_visited, snap.overhead, snap.visit_variance)
             rows.append(RunRow(*head, target, *cells))
     return rows
 
@@ -261,17 +257,16 @@ def _write_csv(path, header, rows) -> None:
 
 
 def emit_csv(records: Sequence[RunRecord], out_dir) -> Dict[str, str]:
-    """Write runs.csv, summary.csv (summarized from the runs.csv rows) and histograms.csv."""
+    """Write runs.csv and histograms.csv, then summary.csv from runs.csv as written."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {
         "runs": os.path.join(out_dir, "runs.csv"),
         "summary": os.path.join(out_dir, "summary.csv"),
         "histograms": os.path.join(out_dir, "histograms.csv"),
     }
-    rows = run_rows(records)
-    _write_csv(paths["runs"], RUNS_COLUMNS, rows)
-    _write_csv(paths["summary"], SUMMARY_COLUMNS, summarize(rows))
+    _write_csv(paths["runs"], RUNS_COLUMNS, run_rows(records))
     _write_csv(paths["histograms"], HIST_COLUMNS, histogram_rows(records))
+    summarize_runs_csv(out_dir)
     return paths
 
 
@@ -288,11 +283,32 @@ def emit_trace(trace: Sequence[TraceEntry], path, n_nodes: int, seed: int,
                      f"{'moved' if moved else 'stranded'}\n")
 
 
+def _parsed(cells: List[str], where: str) -> RunRow:
+    if len(cells) != len(RUNS_COLUMNS):
+        raise ConfigError(f"{where}: {len(cells)} cells, expected {len(RUNS_COLUMNS)}")
+    values = []
+    for column, cell in zip(RUNS_COLUMNS, cells):
+        try:
+            values.append(_RUN_PARSERS.get(column, float)(cell) if cell else None)
+        except ValueError:
+            raise ConfigError(f"{where}: bad {column} cell {cell!r}") from None
+    return RunRow(*values)
+
+
 def summarize_runs_csv(out_dir) -> str:
-    """Rebuild summary.csv by summarize over the rows of runs.csv, an empty cell as None."""
-    rows = [RunRow(*(_RUN_PARSERS.get(c, float)(row[c]) if row[c] else None
-                     for c in RUNS_COLUMNS))
-            for row in _read_csv(os.path.join(out_dir, "runs.csv"))]
+    """Write summary.csv by summarize over the rows of runs.csv, an empty cell as None.
+
+    The one writer of summary.csv. A header other than RUNS_COLUMNS, a row with
+    the wrong cell count or a cell that does not parse is a ConfigError naming
+    its line. A run whose milestone rows are missing altogether is not detected
+    here; resuming a sweep from its runs.csv would have to check for it.
+    """
+    source = os.path.join(out_dir, "runs.csv")
+    with open(source, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if tuple(next(reader, ())) != RUNS_COLUMNS:
+            raise ConfigError(f"{source}:1: header is not {','.join(RUNS_COLUMNS)}")
+        rows = [_parsed(cells, f"{source}:{reader.line_num}") for cells in reader]
     path = os.path.join(out_dir, "summary.csv")
     _write_csv(path, SUMMARY_COLUMNS, summarize(rows))
     return path

@@ -4,9 +4,10 @@ from dataclasses import fields
 
 import pytest
 
+from manetwalk import harness
 from manetwalk.cli import build_parser, main
 from manetwalk.core import CONFIG_PARSERS, SimConfig, rng_stream
-from manetwalk.harness import FIGURES, SUMMARY_COLUMNS, derive_seed, fmt
+from manetwalk.harness import FIGURES, RUNS_COLUMNS, SUMMARY_COLUMNS, derive_seed, fmt
 
 
 def test_run_with_flags(tmp_path, capsys):
@@ -169,6 +170,64 @@ def test_sweep_writes_exactly_the_spec_grid(tmp_path, capsys):
     for r in rows:
         assert (r["n_nodes"], r["mobility_model"], r["replicate"]) == ("30", "static", "0")
         assert seeds[r["speed_avg"], r["walk_strategy"]] == r["seed"]
+
+
+def test_sweep_names_each_failed_run_on_stderr(tmp_path, capsys, monkeypatch):
+    deploy = harness.init_deployment
+
+    def failing_deploy(config, *args, **kwargs):
+        if config.n_nodes == 30:
+            raise RuntimeError("planted deployment failure")
+        return deploy(config, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "init_deployment", failing_deploy)
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(
+        "sweep_n_nodes = 30, 40\n"
+        "sweep_speed_avg = 7\n"
+        "sweep_mobility_model = random_direction\n"
+        "sweep_walk_strategy = self_repelling\n"
+        "replicates = 1\n"
+        "seed_base = 5\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--workers", "1", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    seed = derive_seed(5, (30, 7.0, "random_direction", "self_repelling"), 0)
+    assert captured.err == (
+        "run failed: n_nodes=30 density=0.02 mobility_model=random_direction speed_avg=7 "
+        f"walk_strategy=self_repelling replicate=0 seed={seed}: "
+        "RuntimeError: planted deployment failure\n")
+    assert "sweep finished: 1/2 runs completed (0 timed out, 1 failed)" in captured.out
+
+
+def _cut_last_row(rows):
+    # What a sweep killed mid-write leaves: the last row ends after its churn_rate cell.
+    rows[-1] = rows[-1][:RUNS_COLUMNS.index("churn_rate") + 1]
+    return len(rows), f"10 cells, expected {len(RUNS_COLUMNS)}"
+
+
+def _rename_a_column(rows):
+    rows[0][0] = "nodes"
+    return 1, f"header is not {','.join(RUNS_COLUMNS)}"
+
+
+def _bad_flag(rows):
+    rows[2][RUNS_COLUMNS.index("timed_out")] = "yes"
+    return 3, "bad timed_out cell 'yes'"
+
+
+@pytest.mark.parametrize("edit", [_cut_last_row, _rename_a_column, _bad_flag])
+def test_summarize_rejects_a_malformed_runs_csv(tmp_path, capsys, edit):
+    out = tmp_path / "out"
+    assert main(["run", "--n_nodes", "30", "--seed", "3", "--out", str(out)]) == 0
+    runs, summary = out / "runs.csv", (out / "summary.csv").read_bytes()
+    rows = [line.split(",") for line in runs.read_text().splitlines()]
+    line, message = edit(rows)
+    runs.write_text("\n".join(",".join(row) for row in rows))
+    capsys.readouterr()
+    assert main(["summarize", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {runs}:{line}: {message}\n"
+    assert (out / "summary.csv").read_bytes() == summary
 
 
 @pytest.mark.parametrize("line, instead", [

@@ -12,7 +12,7 @@ from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
 from manetwalk.graphs import CompleteGraph
 from manetwalk.harness import (HIST_COLUMNS, POINT_COLUMNS, RUNS_COLUMNS,
                                SUMMARY_COLUMNS, SweepSpec, derive_seed, emit_csv, emit_trace,
-                               figdata, read_sweep_file, run_rows, run_single,
+                               figdata, fmt, read_sweep_file, run_rows, run_single,
                                run_sweep, summarize, summarize_runs_csv,
                                sweep_points, validate_spec)
 from manetwalk.metrics import MilestoneSnapshot, RunRecord
@@ -153,7 +153,7 @@ def test_sweep_records_failures_without_aborting(monkeypatch):
     failed = [r for r in records if r.error is not None]
     assert len(failed) == 1
     assert failed[0].config.n_nodes == 30
-    assert failed[0].error == "planted deployment failure"
+    assert failed[0].error == "RuntimeError: planted deployment failure"
     assert not records[1].timed_out
 
 
@@ -277,6 +277,15 @@ def test_summarize_runs_csv_round_trip(tmp_path):
         summarize_runs_csv(tmp_path / name)
         assert _read(paths["summary"]) == original
         orig_rows = [r.split(",") for r in original.decode().splitlines()]
+        # In memory, summarize averages unrounded values: the same cells to the last digit.
+        in_memory = summarize(run_rows(records))
+        assert len(in_memory) == len(orig_rows) - 1
+        for row, cells in zip(in_memory, orig_rows[1:]):
+            for value, cell in zip(row, cells):
+                if isinstance(value, float):
+                    assert float(cell) == pytest.approx(value, rel=1e-8)
+                else:
+                    assert cell == fmt(value)
         if name == "b":
             assert any(r.timed_out for r in records)
             assert any(r.config.mobility_model == "static" for r in records)
@@ -377,10 +386,10 @@ def test_figdata_outputs(tmp_path):
     emit_csv(run_sweep(spec), tmp_path)
     for fig in ("fig1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5"):
         path = figdata(fig, tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0].startswith("# ")
         assert len(lines) > 1
-    width = len(open(os.path.join(tmp_path, "fig2b.dat")).read().splitlines()[1].split())
+    width = len((tmp_path / "fig2b.dat").read_text().splitlines()[1].split())
     assert width == 3  # n_nodes mean_overhead std_overhead
 
 
