@@ -13,14 +13,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import (CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig, geometry_for,
-                   list_of, read_config_file, rng_stream, validate_config)
+from .core import (_U64, CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig,
+                   geometry_for, list_of, read_config_file, rng_stream, validate_config)
 from .graphs import DiskGraph, StaticGraph, rows_from_keys
 from .metrics import RunRecord, exploration_overhead
 from .mobility import init_deployment
 from .walk import TraceEntry, VisitTable, World, run_walk
-
-_U64 = (1 << 64) - 1
 
 # The config keys a sweep varies: the order of a grid point and of its derive_seed key.
 AXES = ("n_nodes", "speed_avg", "mobility_model", "walk_strategy")
@@ -149,11 +147,15 @@ RunRow = namedtuple("RunRow", RUNS_COLUMNS)
 # Aggregate over the completed replicates of one sweep point at one milestone.
 SummaryRow = namedtuple("SummaryRow", SUMMARY_COLUMNS)
 
-# runs.csv column -> the parser of its non-empty cells; the columns left out are floats.
-_RUN_PARSERS = {**{c: CONFIG_PARSERS[c] for c in POINT_COLUMNS},
-                **dict.fromkeys(("replicate", "seed", "waiting_ticks", "hops", "unique_visited"),
-                                int),
-                "timed_out": lambda cell: bool(("0", "1").index(cell))}
+# One visit-count bin of one run at one milestone it reached.
+HistRow = namedtuple("HistRow", HIST_COLUMNS)
+
+# CSV column -> the parser of its non-empty cells; the columns left out are floats.
+# timed_out is runs.csv's 0/1 flag; summary.csv counts it, so its reader passes int.
+_PARSERS = {**{c: CONFIG_PARSERS[c] for c in POINT_COLUMNS},
+            **dict.fromkeys(("replicate", "seed", "waiting_ticks", "hops", "unique_visited",
+                             "visits", "node_count", "runs", "completed", "failed"), int),
+            "timed_out": lambda cell: bool(("0", "1").index(cell))}
 
 
 def _point_of(config: SimConfig) -> Tuple:
@@ -181,9 +183,10 @@ def summarize(rows: Iterable[RunRow]) -> List[SummaryRow]:
 
     The rows of one (replicate, seed) at a point are one run: timed out if its
     timed_out is True, failed if None, completed if False. A point's milestones
-    are its first run's. Aggregates use completed runs only, and overhead is
-    recomputed from hops and unique_visited, exactly as the records hold it.
-    Standard deviations are population deviations, so a single run reports 0.
+    are its first run's, and a run with other milestones is a ConfigError.
+    Aggregates use completed runs only, and overhead is recomputed from hops and
+    unique_visited, exactly as the records hold it. Standard deviations are
+    population deviations, so a single run reports 0.
     """
     points: Dict[Tuple, Dict[Tuple, List[RunRow]]] = {}
     for row in rows:
@@ -193,9 +196,15 @@ def summarize(rows: Iterable[RunRow]) -> List[SummaryRow]:
     out: List[SummaryRow] = []
     for point, by_run in points.items():
         runs = list(by_run.values())
+        targets = [row.milestone for row in runs[0]]
+        for (replicate, seed), run in by_run.items():
+            if [row.milestone for row in run] != targets:
+                raise ConfigError(f"run replicate={replicate} seed={seed} has milestones "
+                                  f"{','.join(fmt(row.milestone) for row in run)}, "
+                                  f"its point's first run {','.join(map(fmt, targets))}")
         status = [run[0].timed_out for run in runs]
         complete = [run for run in runs if run[0].timed_out is False]
-        for target in [row.milestone for row in runs[0]]:
+        for target in targets:
             snaps = [row for run in complete for row in run if row.milestone == target]
             if snaps:
                 overheads = np.array([exploration_overhead(s.hops, s.unique_visited)
@@ -227,14 +236,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def histogram_rows(records: Iterable[RunRecord]) -> List[tuple]:
+def histogram_rows(records: Iterable[RunRecord]) -> List[HistRow]:
     rows = []
     for rec in records:
         head = _point_of(rec.config) + (rec.replicate, rec.seed)
         for snap in rec.milestones:
             for visits in sorted(snap.histogram):
                 count = snap.histogram[visits]
-                rows.append(head + (snap.target_coverage, visits, count,
+                rows.append(HistRow(*head, snap.target_coverage, visits, count,
                                     count / rec.config.n_nodes))
     return rows
 
@@ -283,34 +292,52 @@ def emit_trace(trace: Sequence[TraceEntry], path, n_nodes: int, seed: int,
                      f"{'moved' if moved else 'stranded'}\n")
 
 
-def _parsed(cells: List[str], where: str) -> RunRow:
-    if len(cells) != len(RUNS_COLUMNS):
-        raise ConfigError(f"{where}: {len(cells)} cells, expected {len(RUNS_COLUMNS)}")
-    values = []
-    for column, cell in zip(RUNS_COLUMNS, cells):
-        try:
-            values.append(_RUN_PARSERS.get(column, float)(cell) if cell else None)
-        except ValueError:
-            raise ConfigError(f"{where}: bad {column} cell {cell!r}") from None
-    return RunRow(*values)
+def _read_rows(path, row_type, **parsers) -> list:
+    """The row_type rows of a CSV, each cell parsed by parsers or _PARSERS, empty as None.
+
+    A wrong header, cell count or cell, or a file without the final line end that
+    _write_csv writes (a write cut short), is a ConfigError naming its line.
+    """
+    parsers = {**_PARSERS, **parsers}
+    columns = row_type._fields
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    if tuple(next(reader, ())) != columns:
+        raise ConfigError(f"{path}:1: header is not {','.join(columns)}")
+    rows = []
+    for cells in reader:
+        where = f"{path}:{reader.line_num}"
+        if len(cells) != len(columns):
+            raise ConfigError(f"{where}: {len(cells)} cells, expected {len(columns)}")
+        values = []
+        for column, cell in zip(columns, cells):
+            try:
+                values.append(parsers.get(column, float)(cell) if cell else None)
+            except ValueError:
+                raise ConfigError(f"{where}: bad {column} cell {cell!r}") from None
+        rows.append(row_type(*values))
+    if not lines[-1].endswith("\n"):
+        raise ConfigError(f"{path}:{reader.line_num}: no line end after the last row; "
+                          "the file was cut short")
+    return rows
 
 
 def summarize_runs_csv(out_dir) -> str:
-    """Write summary.csv by summarize over the rows of runs.csv, an empty cell as None.
+    """Write summary.csv, its one writer, by summarize over runs.csv read by _read_rows.
 
-    The one writer of summary.csv. A header other than RUNS_COLUMNS, a row with
-    the wrong cell count or a cell that does not parse is a ConfigError naming
-    its line. A run whose milestone rows are missing altogether is not detected
-    here; resuming a sweep from its runs.csv would have to check for it.
+    A run cut at a row boundary has other milestones than its point's first run,
+    so summarize rejects it. A run missing altogether is not detected here;
+    resuming a sweep from its runs.csv would have to check for it.
     """
     source = os.path.join(out_dir, "runs.csv")
-    with open(source, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if tuple(next(reader, ())) != RUNS_COLUMNS:
-            raise ConfigError(f"{source}:1: header is not {','.join(RUNS_COLUMNS)}")
-        rows = [_parsed(cells, f"{source}:{reader.line_num}") for cells in reader]
+    rows = _read_rows(source, RunRow)
+    try:
+        summary = summarize(rows)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
     path = os.path.join(out_dir, "summary.csv")
-    _write_csv(path, SUMMARY_COLUMNS, summarize(rows))
+    _write_csv(path, SUMMARY_COLUMNS, summary)
     return path
 
 
@@ -340,7 +367,7 @@ def read_sweep_file(path) -> SweepSpec:
 # --- figure data -------------------------------------------------------------
 
 _SELF_REPELLING = {"walk_strategy": "self_repelling"}
-_SELF_REPELLING_FULL = {"walk_strategy": "self_repelling", "milestone": fmt(1.0)}
+_SELF_REPELLING_FULL = {"walk_strategy": "self_repelling", "milestone": 1.0}
 
 # Figure id -> (source CSV, cells a row must hold, key columns). A summary layout
 # prints its key columns per row; a histogram layout averages node_count and
@@ -354,25 +381,10 @@ FIGURE_LAYOUTS = {
               ("mobility_model", "n_nodes", "speed_avg", "mean_overhead")),
     "fig3b": ("summary.csv", _SELF_REPELLING_FULL,
               ("speed_avg", "n_nodes", "mobility_model", "mean_overhead")),
-    "fig4": ("histograms.csv", {"milestone": fmt(1.0)}, ("walk_strategy", "n_nodes", "visits")),
+    "fig4": ("histograms.csv", {"milestone": 1.0}, ("walk_strategy", "n_nodes", "visits")),
     "fig5": ("summary.csv", {}, ("walk_strategy", "n_nodes", "milestone", "mean_overhead")),
 }
 FIGURES = tuple(FIGURE_LAYOUTS)
-
-
-def _read_csv(path) -> List[Dict[str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
-
-
-def _group_mean(rows, keys, value_key):
-    groups: Dict[Tuple, List[float]] = {}
-    for row in rows:
-        if row[value_key] == "":
-            continue
-        key = tuple(row[k] for k in keys)
-        groups.setdefault(key, []).append(float(row[value_key]))
-    return {k: sum(v) / len(v) for k, v in groups.items()}
 
 
 def figdata(fig_id: str, out_dir) -> str:
@@ -380,32 +392,25 @@ def figdata(fig_id: str, out_dir) -> str:
     if fig_id not in FIGURE_LAYOUTS:
         raise ConfigError(f"unknown figure id {fig_id!r}, expected one of {FIGURES}")
     source, cells, keys = FIGURE_LAYOUTS[fig_id]
-    dest = os.path.join(out_dir, f"{fig_id}.dat")
-    rows = [r for r in _read_csv(os.path.join(out_dir, source))
-            if all(r[c] == v for c, v in cells.items())]
-    if source == "histograms.csv":
-        rows = [r for r in rows if r["visits"] != "0"]  # zero bin is a plot-layer exclusion
-        counts = _group_mean(rows, keys, "node_count")
-        fracs = _group_mean(rows, keys, "node_fraction")
+    path, dest = os.path.join(out_dir, source), os.path.join(out_dir, f"{fig_id}.dat")
+    histograms = source == "histograms.csv"
+    # A row with an empty cell has nothing to plot, as at a point with no completed run.
+    rows = [r for r in (_read_rows(path, HistRow) if histograms
+                        else _read_rows(path, SummaryRow, timed_out=int))
+            if None not in r and all(getattr(r, c) == v for c, v in cells.items())]
+    if histograms:
+        bins: Dict[Tuple, List[Tuple]] = {}
+        for r in rows:
+            if r.visits != 0:  # the zero bin is a plot-layer exclusion
+                key = tuple(getattr(r, c) for c in keys)
+                bins.setdefault(key, []).append((r.node_count, r.node_fraction))
         header = keys + ("mean_node_count", "mean_node_fraction")
-        out_rows = [list(k) + [fmt(counts[k]), fmt(fracs[k])]
-                    for k in sorted(counts, key=_numeric_key)]
+        out_rows = [key + tuple(sum(v) / len(v) for v in zip(*bin_rows))
+                    for key, bin_rows in bins.items()]
     else:
-        header = keys
-        out_rows = sorted(([r[c] for c in keys] for r in rows if r["mean_overhead"] != ""),
-                          key=_numeric_key)
+        header, out_rows = keys, [tuple(getattr(r, c) for c in keys) for r in rows]
     with _writing(dest) as fh:
         fh.write(f"# {' '.join(header)}\n")
-        for row in out_rows:
-            fh.write(" ".join(row) + "\n")
+        for row in sorted(out_rows):
+            fh.write(" ".join(map(fmt, row)) + "\n")
     return dest
-
-
-def _numeric_key(values):
-    key = []
-    for v in values:
-        try:
-            key.append((0, float(v), ""))
-        except (TypeError, ValueError):
-            key.append((1, 0.0, str(v)))
-    return key

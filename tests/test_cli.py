@@ -216,18 +216,70 @@ def _bad_flag(rows):
     return 3, "bad timed_out cell 'yes'"
 
 
-@pytest.mark.parametrize("edit", [_cut_last_row, _rename_a_column, _bad_flag])
-def test_summarize_rejects_a_malformed_runs_csv(tmp_path, capsys, edit):
+def _cut_inside(column):
+    def edit(rows):
+        # What a write killed inside the last row's `column` cell leaves.
+        i = rows[0].index(column)
+        assert len(rows[-1][i]) > 1
+        rows[-1] = rows[-1][:i] + [rows[-1][i][:-1]]
+        if i + 1 < len(rows[0]):
+            return len(rows), f"{i + 1} cells, expected {len(rows[0])}"
+        # Every cell is there and parses; only the missing line end tells.
+        return len(rows), "no line end after the last row; the file was cut short"
+    edit.__name__ = f"_cut_inside_{column}"
+    return edit
+
+
+def _rename_the_first_column(rows):
+    header = ",".join(rows[0])
+    rows[0][0] = "nodes"
+    return 1, f"header is not {header}"
+
+
+def _drop_the_last_row(rows):
+    # A sweep killed at a row boundary: the file ends in a line end, but the
+    # last run lacks its 100% row. No line is at fault, so the error names the run.
+    replicate, seed = (rows[-1][RUNS_COLUMNS.index(c)] for c in ("replicate", "seed"))
+    rows[-1] = []
+    return None, (f"run replicate={replicate} seed={seed} has milestones 0.5,0.75,0.85, "
+                  "its point's first run 0.5,0.75,0.85,1")
+
+
+# The CSV file each case edits -> the command that reads it back.
+_READERS = {"runs.csv": ["summarize"], "summary.csv": ["figdata", "fig2b"],
+            "histograms.csv": ["figdata", "fig1"]}
+_MALFORMED = [("runs.csv", edit) for edit in (
+    _cut_last_row, _rename_a_column, _bad_flag, _cut_inside("visit_variance"),
+    _drop_the_last_row)] + [
+    (name, edit) for name, middle, last in (("summary.csv", "std_overhead", "mean_churn_rate"),
+                                            ("histograms.csv", "seed", "node_fraction"))
+    for edit in (_cut_inside(middle), _cut_inside(last), _rename_the_first_column)]
+
+
+@pytest.mark.parametrize("name, edit", _MALFORMED, ids=[
+    edit.__name__ if name == "runs.csv" else f"{name}-{edit.__name__}"
+    for name, edit in _MALFORMED])
+def test_summarize_rejects_a_malformed_runs_csv(tmp_path, capsys, name, edit):
+    """summarize, and figdata on summary.csv and histograms.csv, reject a
+    malformed file with exit 1 and its line, and leave every other output as it was."""
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("sweep_n_nodes = 30\nsweep_speed_avg = 7\n"
+                    "sweep_mobility_model = random_direction\n"
+                    "sweep_walk_strategy = self_repelling\nreplicates = 2\nseed_base = 3\n")
     out = tmp_path / "out"
-    assert main(["run", "--n_nodes", "30", "--seed", "3", "--out", str(out)]) == 0
-    runs, summary = out / "runs.csv", (out / "summary.csv").read_bytes()
-    rows = [line.split(",") for line in runs.read_text().splitlines()]
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["figdata", "fig1", "--out", str(out)]) == 0
+    assert main(["figdata", "fig2b", "--out", str(out)]) == 0
+    path = out / name
+    outputs = {p: p.read_bytes() for p in [out / "summary.csv", *out.glob("*.dat")] if p != path}
+    rows = [line.split(",") for line in path.read_text().splitlines()]
     line, message = edit(rows)
-    runs.write_text("\n".join(",".join(row) for row in rows))
+    path.write_text("\n".join(",".join(row) for row in rows))
     capsys.readouterr()
-    assert main(["summarize", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {runs}:{line}: {message}\n"
-    assert (out / "summary.csv").read_bytes() == summary
+    assert main([*_READERS[name], "--out", str(out)]) == 1
+    where = path if line is None else f"{path}:{line}"
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert {p: p.read_bytes() for p in outputs} == outputs
 
 
 @pytest.mark.parametrize("line, instead", [

@@ -3,7 +3,8 @@
 Each hop attempt sees D ~ Binomial(N - 1, d / (N - 1)) neighbors drawn uniformly
 from the other nodes (Avin, Koucky & Lotker, "How to explore a fast-changing
 world", ICALP 2008). A least-visited walk then has a closed-form overhead, which
-the walk engine must reach on a provider that draws every neighborhood fresh.
+the walk engine must reach on a provider that draws every neighborhood fresh,
+and the simulator must approach when its nodes move fast enough.
 """
 
 import math
@@ -11,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from manetwalk.core import rng_stream
-from manetwalk.graphs import NeighborProvider
+from manetwalk.core import SimConfig, geometry_for, rng_stream
+from manetwalk.graphs import NeighborProvider, disk_edges
+from manetwalk.harness import build_run
 from manetwalk.metrics import exploration_overhead
-from manetwalk.walk import walk_graph
+from manetwalk.walk import run_walk, walk_graph
 
 
 def mixed_overhead(n: int, d: float, coverage: float) -> float:
@@ -71,3 +73,37 @@ def test_walk_reaches_the_mixed_limit():
         assert token.unique_visited == n
         overheads.append(exploration_overhead(token.hops, token.unique_visited))
     assert abs(np.mean(overheads) - expected) <= 0.03
+
+
+def fast_walks(mobility_model: str, **keys):
+    """Mean degree of 30 deployments at N=100 and 1500 m/s, and their walks' mean overhead at 100%.
+
+    The degree is measured from each deployment's disk edges, so the formula
+    takes the wall losses through it; the spread of degree between nodes is
+    left to the tolerance.
+    """
+    edges, overheads = 0, []
+    for seed in range(30):
+        config, provider, world, walk_rng = build_run(SimConfig(
+            n_nodes=100, mobility_model=mobility_model, speed_avg=1500.0, seed=seed, **keys))
+        edges += len(disk_edges(world.mobility.positions, geometry_for(config).comm_range))
+        record = run_walk(config, provider, world, walk_rng)
+        assert not record.timed_out and record.milestones[-1].target_coverage == 1.0
+        overheads.append(record.milestones[-1].overhead)
+    return 2 * edges / (30 * 100), np.mean(overheads)
+
+
+@pytest.mark.parametrize("mobility_model, keys", [
+    pytest.param("random_direction", {}, id="random_direction"),
+    pytest.param("random_waypoint", {"pause_time": 0.0}, id="random_waypoint_without_pause"),
+])
+def test_fast_mobility_reaches_the_mixed_limit(mobility_model, keys):
+    d, overhead = fast_walks(mobility_model, **keys)
+    assert abs(overhead - mixed_overhead(100, d, 1.0)) <= 0.07
+
+
+def test_waypoint_pause_keeps_a_fast_graph_from_mixing():
+    # A leg across the square takes hundredths of a second, then the default 2 s
+    # pause holds the node still for about 20 hop attempts: the graph changes in steps.
+    d, overhead = fast_walks("random_waypoint")
+    assert overhead >= mixed_overhead(100, d, 1.0) + 0.3
