@@ -1,7 +1,7 @@
 """Deterministic simulator of self-repelling random walks on mobile ad-hoc networks."""
 
 from .core import (ConfigError, SimConfig, WorldGeometry, config_from, geometry_for,
-                   read_config_file, rng_stream, validate_config)
+                   read_config_file, rng_stream)
 from .graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter,
                      NeighborProvider, PathGraph, StaticGraph, TorusLattice,
                      UnknownNodeError, disk_edges)

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -39,7 +39,13 @@ def _key(default, parse, help_text: str):
     return field(default=default, metadata={"parse": parse, "help": help_text})
 
 
-@dataclass
+def _is_tick_multiple(interval: float, tick: float) -> bool:
+    ratio = interval / tick
+    k = round(ratio)
+    return k >= 1 and abs(ratio - k) <= _REL_TOL * max(1.0, k)
+
+
+@dataclass(frozen=True)
 class SimConfig:
     """All parameters of a single simulation run; each field is a config key."""
 
@@ -59,6 +65,55 @@ class SimConfig:
                                          "coverage fractions, e.g. '0.5,0.75,0.85,1.0'")
     comm_range: Optional[float] = _key(None, _parse_comm_range,
                                        "override the derived communication range, meters")
+
+    def __post_init__(self):
+        """Check every invariant when built, replace() included, each violation a ConfigError
+        naming its field; then normalize n_nodes to an int and milestones to sorted unique."""
+        for key in fields(self):
+            value = getattr(self, key.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{key.name} must be finite, got {value}")
+        min_nodes = 2 if self.comm_range is None else 1  # ln(1) = 0 derives no range
+        if int(self.n_nodes) != self.n_nodes or self.n_nodes < min_nodes:
+            raise ConfigError("n_nodes must be an integer >= 1, and >= 2 without a comm_range "
+                              f"override, got {self.n_nodes}")
+        if self.density <= 0:
+            raise ConfigError(f"density must be positive, got {self.density}")
+        if self.mobility_model not in MOBILITY_MODELS:
+            raise ConfigError(
+                f"unknown mobility_model {self.mobility_model!r}, expected one of {MOBILITY_MODELS}")
+        if self.walk_strategy not in WALK_STRATEGIES:
+            raise ConfigError(
+                f"unknown walk_strategy {self.walk_strategy!r}, expected one of {WALK_STRATEGIES}")
+        if self.speed_halfwidth < 0:
+            raise ConfigError(f"speed_halfwidth must be >= 0, got {self.speed_halfwidth}")
+        if self.speed_avg - self.speed_halfwidth < 0:
+            raise ConfigError(
+                f"negative minimum speed: speed_avg {self.speed_avg} - "
+                f"speed_halfwidth {self.speed_halfwidth} < 0")
+        if self.pause_time < 0:
+            raise ConfigError(f"pause_time must be >= 0, got {self.pause_time}")
+        if self.direction_epoch <= 0:
+            raise ConfigError(f"direction_epoch must be positive, got {self.direction_epoch}")
+        if self.tick <= 0:
+            raise ConfigError(f"tick must be positive, got {self.tick}")
+        if not _is_tick_multiple(self.hop_interval, self.tick):
+            raise ConfigError(
+                f"hop_interval not a multiple of tick ({self.hop_interval} vs {self.tick})")
+        if self.max_sim_time <= 0:
+            raise ConfigError(f"max_sim_time must be positive, got {self.max_sim_time}")
+        if self.comm_range is not None and self.comm_range <= 0:
+            raise ConfigError(f"comm_range override must be positive, got {self.comm_range}")
+        if not self.milestones:
+            raise ConfigError("milestones must be non-empty")
+        normalized = tuple(sorted(set(float(m) for m in self.milestones)))
+        for m in normalized:
+            if not 0.0 < m <= 1.0:
+                raise ConfigError(f"milestones must lie in (0, 1], got {m}")
+        if normalized[-1] != 1.0:
+            raise ConfigError("milestones must end at 1.0")
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
+        object.__setattr__(self, "milestones", normalized)
 
     @property
     def speed_min(self) -> float:
@@ -97,70 +152,11 @@ def geometry_for(config: SimConfig) -> WorldGeometry:
     (natural logarithm), so the disk graph over the deployment stays connected
     with high probability.
     """
-    if config.density <= 0:
-        raise ConfigError(f"density must be positive, got {config.density}")
     comm_range = config.comm_range
     if comm_range is None:
-        if config.n_nodes < 2:
-            raise ConfigError("n_nodes must be >= 2 to derive a communication range (ln(1) = 0)")
         comm_range = math.sqrt(math.log(config.n_nodes) / config.density)
     area = config.n_nodes / config.density
     return WorldGeometry(side=math.sqrt(area), area=area, comm_range=comm_range)
-
-
-def _is_tick_multiple(interval: float, tick: float) -> bool:
-    ratio = interval / tick
-    k = round(ratio)
-    return k >= 1 and abs(ratio - k) <= _REL_TOL * max(1.0, k)
-
-
-def validate_config(config: SimConfig) -> SimConfig:
-    """Check every SimConfig invariant; return the config with milestones normalized.
-
-    Each violation raises a distinct ConfigError naming the offending field.
-    """
-    min_nodes = 2 if config.comm_range is None else 1  # ln(1) = 0 derives no range
-    if int(config.n_nodes) != config.n_nodes or config.n_nodes < min_nodes:
-        raise ConfigError("n_nodes must be an integer >= 1, and >= 2 without a comm_range "
-                          f"override, got {config.n_nodes}")
-    if config.density <= 0:
-        raise ConfigError(f"density must be positive, got {config.density}")
-    if config.mobility_model not in MOBILITY_MODELS:
-        raise ConfigError(
-            f"unknown mobility_model {config.mobility_model!r}, expected one of {MOBILITY_MODELS}")
-    if config.walk_strategy not in WALK_STRATEGIES:
-        raise ConfigError(
-            f"unknown walk_strategy {config.walk_strategy!r}, expected one of {WALK_STRATEGIES}")
-    if config.speed_halfwidth < 0:
-        raise ConfigError(f"speed_halfwidth must be >= 0, got {config.speed_halfwidth}")
-    if config.speed_avg - config.speed_halfwidth < 0:
-        raise ConfigError(
-            f"negative minimum speed: speed_avg {config.speed_avg} - "
-            f"speed_halfwidth {config.speed_halfwidth} < 0")
-    if config.pause_time < 0:
-        raise ConfigError(f"pause_time must be >= 0, got {config.pause_time}")
-    if config.direction_epoch <= 0:
-        raise ConfigError(f"direction_epoch must be positive, got {config.direction_epoch}")
-    if config.tick <= 0:
-        raise ConfigError(f"tick must be positive, got {config.tick}")
-    if not _is_tick_multiple(config.hop_interval, config.tick):
-        raise ConfigError(
-            f"hop_interval not a multiple of tick ({config.hop_interval} vs {config.tick})")
-    if config.max_sim_time <= 0:
-        raise ConfigError(f"max_sim_time must be positive, got {config.max_sim_time}")
-    if config.comm_range is not None and config.comm_range <= 0:
-        raise ConfigError(f"comm_range override must be positive, got {config.comm_range}")
-
-    if not config.milestones:
-        raise ConfigError("milestones must be non-empty")
-    normalized = tuple(sorted(set(float(m) for m in config.milestones)))
-    for m in normalized:
-        if not 0.0 < m <= 1.0:
-            raise ConfigError(f"milestones must lie in (0, 1], got {m}")
-    if normalized[-1] != 1.0:
-        raise ConfigError("milestones must end at 1.0")
-
-    return replace(config, n_nodes=int(config.n_nodes), milestones=normalized)
 
 
 # --- flat key = value config files -----------------------------------------

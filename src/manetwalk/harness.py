@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import (_U64, CONFIG_PARSERS, WALK_STRATEGIES, ConfigError, SimConfig,
-                   geometry_for, list_of, read_config_file, rng_stream, validate_config)
+                   geometry_for, list_of, read_config_file, rng_stream)
 from .graphs import DiskGraph, StaticGraph, rows_from_keys
 from .metrics import RunRecord, exploration_overhead
 from .mobility import init_deployment
@@ -76,23 +76,22 @@ def validate_spec(spec: SweepSpec) -> SweepSpec:
 
 
 def point_config(spec: SweepSpec, point: tuple, replicate: int) -> SimConfig:
-    """The validated config of one run, so a failed run's record is normalized too."""
-    return validate_config(replace(spec.base, **dict(zip(AXES, point)),
-                                   seed=derive_seed(spec.seed_base, point, replicate)))
+    """The config of one run: the base config at its grid point, with its derived seed."""
+    return replace(spec.base, **dict(zip(AXES, point)),
+                   seed=derive_seed(spec.seed_base, point, replicate))
 
 
 def build_run(config: SimConfig):
-    """Wire up one run: validated config, StaticGraph or DiskGraph, world, walk stream."""
-    cfg = validate_config(config)
-    geometry = geometry_for(cfg)
-    state = init_deployment(cfg, geometry, rng_stream(cfg.seed, "deployment"),
-                            motion_rng=rng_stream(cfg.seed, "mobility"))
+    """Wire up one run: its config, StaticGraph or DiskGraph, world, walk stream."""
+    geometry = geometry_for(config)
+    state = init_deployment(config, geometry, rng_stream(config.seed, "deployment"),
+                            motion_rng=rng_stream(config.seed, "mobility"))
     provider = DiskGraph(state.positions, geometry.comm_range)
-    if cfg.mobility_model == "static":
+    if config.mobility_model == "static":
         # One table of the deployed edges; with no mobility state, run_walk takes no snapshot.
-        provider, state = StaticGraph(rows_from_keys(provider.edge_keys(), cfg.n_nodes)), None
-    world = World(visits=VisitTable(cfg.n_nodes), mobility=state)
-    return cfg, provider, world, rng_stream(cfg.seed, "walk")
+        provider, state = StaticGraph(rows_from_keys(provider.edge_keys(), config.n_nodes)), None
+    world = World(visits=VisitTable(config.n_nodes), mobility=state)
+    return config, provider, world, rng_stream(config.seed, "walk")
 
 
 def run_single(config: SimConfig, trace: Optional[List[TraceEntry]] = None) -> RunRecord:
@@ -183,7 +182,8 @@ def summarize(rows: Iterable[RunRow]) -> List[SummaryRow]:
 
     The rows of one (replicate, seed) at a point are one run: timed out if its
     timed_out is True, failed if None, completed if False. A point's milestones
-    are its first run's, and a run with other milestones is a ConfigError.
+    are its first run's; a run with other milestones, or milestones that do not
+    end at 1, is a ConfigError.
     Aggregates use completed runs only, and overhead is recomputed from hops and
     unique_visited, exactly as the records hold it. Standard deviations are
     population deviations, so a single run reports 0.
@@ -202,6 +202,10 @@ def summarize(rows: Iterable[RunRow]) -> List[SummaryRow]:
                 raise ConfigError(f"run replicate={replicate} seed={seed} has milestones "
                                   f"{','.join(fmt(row.milestone) for row in run)}, "
                                   f"its point's first run {','.join(map(fmt, targets))}")
+        if targets[-1] != 1.0:  # configured milestones end at 1, so the rows were cut
+            replicate, seed = next(iter(by_run))
+            raise ConfigError(f"run replicate={replicate} seed={seed} ends at milestone "
+                              f"{fmt(targets[-1])}, not 1")
         status = [run[0].timed_out for run in runs]
         complete = [run for run in runs if run[0].timed_out is False]
         for target in targets:
@@ -327,8 +331,9 @@ def summarize_runs_csv(out_dir) -> str:
     """Write summary.csv, its one writer, by summarize over runs.csv read by _read_rows.
 
     A run cut at a row boundary has other milestones than its point's first run,
-    so summarize rejects it. A run missing altogether is not detected here;
-    resuming a sweep from its runs.csv would have to check for it.
+    or, alone at its point, does not end at milestone 1, so summarize rejects it.
+    A run missing altogether is not detected here; resuming a sweep from its
+    runs.csv would have to check for it.
     """
     source = os.path.join(out_dir, "runs.csv")
     rows = _read_rows(source, RunRow)
@@ -361,6 +366,8 @@ def read_sweep_file(path) -> SweepSpec:
     values = read_config_file(path, parsers)
     sweep = {k.removeprefix("sweep_"): v for k, v in values.items() if k in SWEEP_KEYS}
     base = {k: v for k, v in values.items() if k not in SWEEP_KEYS}
+    # The base takes the first grid point's axis values, so it is valid where the grid is.
+    base.update({axis: sweep.get(axis, getattr(SweepSpec, axis))[0] for axis in AXES})
     return SweepSpec(base=SimConfig(**base), **sweep)
 
 
@@ -371,7 +378,7 @@ _SELF_REPELLING_FULL = {"walk_strategy": "self_repelling", "milestone": 1.0}
 
 # Figure id -> (source CSV, cells a row must hold, key columns). A summary layout
 # prints its key columns per row; a histogram layout averages node_count and
-# node_fraction per key.
+# node_fraction per key, whose last column is visits.
 FIGURE_LAYOUTS = {
     "fig1": ("histograms.csv", _SELF_REPELLING, ("milestone", "n_nodes", "visits")),
     "fig2a": ("summary.csv", _SELF_REPELLING,
@@ -399,13 +406,17 @@ def figdata(fig_id: str, out_dir) -> str:
                         else _read_rows(path, SummaryRow, timed_out=int))
             if None not in r and all(getattr(r, c) == v for c, v in cells.items())]
     if histograms:
+        # A bin's mean is over every run of its group (its key but visits), that is every
+        # run that reached the milestone, so a run without the bin counts 0.
+        runs: Dict[Tuple, set] = {}
         bins: Dict[Tuple, List[Tuple]] = {}
         for r in rows:
+            key = tuple(getattr(r, c) for c in keys)
+            runs.setdefault(key[:-1], set()).add(r[:len(POINT_COLUMNS) + 2])
             if r.visits != 0:  # the zero bin is a plot-layer exclusion
-                key = tuple(getattr(r, c) for c in keys)
                 bins.setdefault(key, []).append((r.node_count, r.node_fraction))
         header = keys + ("mean_node_count", "mean_node_fraction")
-        out_rows = [key + tuple(sum(v) / len(v) for v in zip(*bin_rows))
+        out_rows = [key + tuple(sum(v) / len(runs[key[:-1]]) for v in zip(*bin_rows))
                     for key, bin_rows in bins.items()]
     else:
         header, out_rows = keys, [tuple(getattr(r, c) for c in keys) for r in rows]

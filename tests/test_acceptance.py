@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
+from manetwalk.core import SimConfig, geometry_for, rng_stream
 from manetwalk.graphs import (CompleteGraph, CycleGraph, LinkEventCounter,
                               TorusLattice, disk_edges)
 from manetwalk.harness import SweepSpec, build_run, emit_csv, run_sweep
@@ -179,7 +179,7 @@ def test_08_mobility_and_speed_insensitivity():
 
 
 def _measured_churn(n, speed, seed, seconds=30):
-    cfg = validate_config(SimConfig(n_nodes=n, speed_avg=speed, seed=seed))
+    cfg = SimConfig(n_nodes=n, speed_avg=speed, seed=seed)
     geom = geometry_for(cfg)
     state = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
                             motion_rng=rng_stream(seed, "mobility"))

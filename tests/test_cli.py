@@ -53,6 +53,17 @@ def test_run_invalid_value_exits_1(tmp_path, capsys):
     assert "hop_interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("pause_time", "nan"), ("speed_avg", "nan"), ("density", "nan"), ("tick", "nan"),
+    ("max_sim_time", "nan"), ("max_sim_time", "inf")])
+def test_run_rejects_a_non_finite_value(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    assert main(["run", "--n_nodes", "30", "--mobility_model", "random_waypoint",
+                 f"--{key}", value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+    assert not out.exists()
+
+
 def test_run_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
@@ -172,6 +183,17 @@ def test_sweep_writes_exactly_the_spec_grid(tmp_path, capsys):
         assert seeds[r["speed_avg"], r["walk_strategy"]] == r["seed"]
 
 
+def test_sweep_base_is_checked_at_the_first_grid_point(tmp_path, capsys):
+    # At the default speed_avg of 7 this half-width would give negative speeds; not on the grid.
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text("speed_halfwidth = 8\nsweep_n_nodes = 20\nsweep_speed_avg = 10, 15\n"
+                    "sweep_mobility_model = random_direction\n"
+                    "sweep_walk_strategy = self_repelling\nreplicates = 1\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 0
+    assert "sweep finished: 2/2 runs completed" in capsys.readouterr().out
+
+
 def test_sweep_names_each_failed_run_on_stderr(tmp_path, capsys, monkeypatch):
     deploy = harness.init_deployment
 
@@ -245,12 +267,19 @@ def _drop_the_last_row(rows):
                   "its point's first run 0.5,0.75,0.85,1")
 
 
+def _drop_the_last_row_of_a_lone_run(rows):
+    # The only run of its point, cut at a row boundary: no other run shows what it lacks.
+    replicate, seed = (rows[-1][RUNS_COLUMNS.index(c)] for c in ("replicate", "seed"))
+    rows[1:] = rows[-4:-1] + [[]]
+    return None, f"run replicate={replicate} seed={seed} ends at milestone 0.85, not 1"
+
+
 # The CSV file each case edits -> the command that reads it back.
 _READERS = {"runs.csv": ["summarize"], "summary.csv": ["figdata", "fig2b"],
             "histograms.csv": ["figdata", "fig1"]}
 _MALFORMED = [("runs.csv", edit) for edit in (
     _cut_last_row, _rename_a_column, _bad_flag, _cut_inside("visit_variance"),
-    _drop_the_last_row)] + [
+    _drop_the_last_row, _drop_the_last_row_of_a_lone_run)] + [
     (name, edit) for name, middle, last in (("summary.csv", "std_overhead", "mean_churn_rate"),
                                             ("histograms.csv", "seed", "node_fraction"))
     for edit in (_cut_inside(middle), _cut_inside(last), _rename_the_first_column)]

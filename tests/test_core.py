@@ -1,11 +1,11 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from manetwalk.core import (ConfigError, SimConfig, config_from, geometry_for,
-                            parse_config_lines, read_config_file, rng_stream,
-                            validate_config)
+                            parse_config_lines, read_config_file, rng_stream)
 
 
 def test_derive_geometry_closed_forms():
@@ -31,10 +31,11 @@ def test_derive_geometry_invariants():
 
 
 def test_derive_geometry_rejects_degenerate():
-    with pytest.raises(ConfigError):
-        geometry_for(SimConfig(n_nodes=1, density=1.0))
-    with pytest.raises(ConfigError):
-        geometry_for(SimConfig(n_nodes=10, density=0.0))
+    # A config that geometry_for could not derive a range or area from is never built.
+    with pytest.raises(ConfigError, match="n_nodes"):
+        SimConfig(n_nodes=1, density=1.0)
+    with pytest.raises(ConfigError, match="density"):
+        SimConfig(n_nodes=10, density=0.0)
 
 
 def test_geometry_scale_consistency():
@@ -51,61 +52,70 @@ def test_geometry_override():
     assert math.isclose(g.area, 100.0, rel_tol=1e-12)
     assert geometry_for(SimConfig(n_nodes=1, comm_range=2.0)).comm_range == 2.0
     with pytest.raises(ConfigError, match="density"):
-        geometry_for(SimConfig(density=0.0, comm_range=2.0))
+        SimConfig(density=0.0, comm_range=2.0)
 
 
-def test_validate_config_accepts_default():
+def test_simconfig_accepts_default_and_is_frozen():
     cfg = SimConfig()
-    out = validate_config(cfg)
-    assert out == cfg
-    validate_config(SimConfig(n_nodes=1, comm_range=1.0))
+    assert cfg.milestones == (0.5, 0.75, 0.85, 1.0)
+    assert SimConfig(n_nodes=1, comm_range=1.0).n_nodes == 1
+    whole = SimConfig(n_nodes=30.0)
+    assert whole.n_nodes == 30 and type(whole.n_nodes) is int
+    with pytest.raises(FrozenInstanceError):
+        cfg.n_nodes = 0
+    assert cfg.n_nodes == 100
 
 
-def test_validate_config_named_errors():
+def test_simconfig_named_errors():
     with pytest.raises(ConfigError, match="hop_interval not a multiple of tick"):
-        validate_config(SimConfig(hop_interval=0.15, tick=0.1))
+        SimConfig(hop_interval=0.15, tick=0.1)
     with pytest.raises(ConfigError, match="negative minimum speed"):
-        validate_config(SimConfig(speed_avg=3.0, speed_halfwidth=4.0))
+        SimConfig(speed_avg=3.0, speed_halfwidth=4.0)
     with pytest.raises(ConfigError, match="n_nodes"):
-        validate_config(SimConfig(n_nodes=0))
+        SimConfig(n_nodes=0)
     with pytest.raises(ConfigError, match="n_nodes must be an integer >= 1, and >= 2 without"):
-        validate_config(SimConfig(n_nodes=1))
+        SimConfig(n_nodes=1)
     with pytest.raises(ConfigError, match="density"):
-        validate_config(SimConfig(density=-1.0))
+        SimConfig(density=-1.0)
     with pytest.raises(ConfigError, match="mobility_model"):
-        validate_config(SimConfig(mobility_model="teleport"))
+        SimConfig(mobility_model="teleport")
     with pytest.raises(ConfigError, match="walk_strategy"):
-        validate_config(SimConfig(walk_strategy="levy"))
+        SimConfig(walk_strategy="levy")
     with pytest.raises(ConfigError, match="tick"):
-        validate_config(SimConfig(tick=0.0))
+        SimConfig(tick=0.0)
     with pytest.raises(ConfigError, match="milestones must end at 1.0"):
-        validate_config(SimConfig(milestones=(0.5, 0.75)))
+        SimConfig(milestones=(0.5, 0.75))
     with pytest.raises(ConfigError, match="milestones"):
-        validate_config(SimConfig(milestones=(0.5, 1.0, 1.5)))
+        SimConfig(milestones=(0.5, 1.0, 1.5))
     with pytest.raises(ConfigError, match="comm_range"):
-        validate_config(SimConfig(comm_range=0.0))
+        SimConfig(comm_range=0.0)
     with pytest.raises(ConfigError, match="speed_halfwidth must be >= 0"):
-        validate_config(SimConfig(speed_halfwidth=-0.5))
+        SimConfig(speed_halfwidth=-0.5)
     with pytest.raises(ConfigError, match="pause_time must be >= 0"):
-        validate_config(SimConfig(pause_time=-1.0))
+        SimConfig(pause_time=-1.0)
     with pytest.raises(ConfigError, match="direction_epoch must be positive"):
-        validate_config(SimConfig(direction_epoch=0.0))
+        SimConfig(direction_epoch=0.0)
     with pytest.raises(ConfigError, match="max_sim_time must be positive"):
-        validate_config(SimConfig(max_sim_time=0.0))
+        SimConfig(max_sim_time=0.0)
     with pytest.raises(ConfigError, match="milestones must be non-empty"):
-        validate_config(SimConfig(milestones=()))
+        SimConfig(milestones=())
+    # replace() builds a new config, so it is checked too.
+    with pytest.raises(ConfigError, match="negative minimum speed: speed_avg 1.0"):
+        replace(SimConfig(), speed_avg=1.0)
 
 
-def test_validate_config_normalizes_milestones():
-    out = validate_config(SimConfig(milestones=(1.0, 0.5, 0.75, 0.5)))
+def test_simconfig_normalizes_milestones():
+    out = SimConfig(milestones=(1.0, 0.5, 0.75, 0.5))
     assert out.milestones == (0.5, 0.75, 1.0)
+    assert SimConfig(milestones=(1.0, 0.5, 0.5)).milestones == (0.5, 1.0)
+    assert replace(out, seed=2).milestones == (0.5, 0.75, 1.0)
 
 
 def test_hop_interval_multiples():
-    validate_config(SimConfig(hop_interval=0.3, tick=0.1))
-    validate_config(SimConfig(hop_interval=0.2, tick=0.1))
+    SimConfig(hop_interval=0.3, tick=0.1)
+    SimConfig(hop_interval=0.2, tick=0.1)
     with pytest.raises(ConfigError):
-        validate_config(SimConfig(hop_interval=0.05, tick=0.1))
+        SimConfig(hop_interval=0.05, tick=0.1)
 
 
 def test_rng_stream_determinism_and_independence():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
+from manetwalk.core import SimConfig, geometry_for, rng_stream
 from manetwalk.graphs import (CompleteGraph, CycleGraph, DiskGraph,
                               LinkEventCounter, PathGraph, StaticGraph, TorusLattice,
                               UnknownNodeError, disk_edges)
@@ -126,7 +126,7 @@ def test_disk_graph_matches_brute_force_on_half_integer_grid():
 def test_disk_edges_match_x_band_on_uniform_deployments():
     rng = np.random.default_rng(9)
     for n in (100, 300, 1000):
-        cfg = validate_config(SimConfig(n_nodes=n))
+        cfg = SimConfig(n_nodes=n)
         geom = geometry_for(cfg)
         for _ in range(4):
             positions = rng.uniform(0, geom.side, size=(n, 2))
@@ -285,7 +285,7 @@ def test_disk_graph_reads_either_layout_to_the_same_arrays(n_nodes, seed, comm_r
     # Deployments are column-major; a C-ordered copy must give the same keys and rows.
     # The N=20 case is the integer deployment of the exactly-R whole-run test in
     # tests/test_walk.py, with pairs at exactly R.
-    cfg = validate_config(SimConfig(n_nodes=n_nodes, comm_range=comm_range, seed=seed))
+    cfg = SimConfig(n_nodes=n_nodes, comm_range=comm_range, seed=seed)
     geom = geometry_for(cfg)
     fortran = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
                               motion_rng=rng_stream(seed, "mobility")).positions
@@ -407,7 +407,7 @@ def test_connectivity_threshold_monte_carlo():
     # R^2 = ln(N)/rho keeps default-density deployments connected whp
     connected = 0
     for seed in range(100):
-        cfg = validate_config(SimConfig(n_nodes=300, seed=seed))
+        cfg = SimConfig(n_nodes=300, seed=seed)
         geom = geometry_for(cfg)
         state = init_deployment(cfg, geom, rng_stream(seed, "deployment"),
                                 motion_rng=rng_stream(seed, "mobility"))

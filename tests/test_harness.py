@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from manetwalk import harness
-from manetwalk.core import ConfigError, SimConfig, rng_stream, validate_config
+from manetwalk.core import ConfigError, SimConfig, rng_stream
 from manetwalk.graphs import CompleteGraph
 from manetwalk.harness import (HIST_COLUMNS, POINT_COLUMNS, RUNS_COLUMNS,
                                SUMMARY_COLUMNS, SweepSpec, derive_seed, emit_csv, emit_trace,
@@ -159,7 +159,7 @@ def test_sweep_records_failures_without_aborting(monkeypatch):
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_failed_run_summary_uses_normalized_milestones(monkeypatch, tmp_path, failing):
-    # Raw milestones (1.0, 0.5, 0.5) validate to (0.5, 1.0), whichever replicate fails.
+    # Raw milestones (1.0, 0.5, 0.5) are built as (0.5, 1.0), whichever replicate fails.
     deploy = harness.init_deployment
     spec = _spec(base=replace(FAST_BASE, milestones=(1.0, 0.5, 0.5)), n_nodes=(40,))
     failing_seed = derive_seed(spec.seed_base, sweep_points(spec)[0], failing)
@@ -191,7 +191,7 @@ def test_failed_run_summary_uses_normalized_milestones(monkeypatch, tmp_path, fa
 
 def _fake_record(overheads_by_target, timed_out=False, n=40, seed=1, replicate=0):
     # summarize recomputes overhead, so each snapshot takes the hops that give it.
-    cfg = validate_config(replace(FAST_BASE, n_nodes=n, seed=seed))
+    cfg = replace(FAST_BASE, n_nodes=n, seed=seed)
     snaps = [MilestoneSnapshot(t, t, 1.0, round(ov * t * n) - 1, int(t * n), ov, {1: n}, 0.1)
              for t, ov in overheads_by_target.items()]
     return RunRecord(config=cfg, milestones=snaps, timed_out=timed_out,
@@ -324,7 +324,7 @@ def _schema_line(entry):
 
 def test_trace_lines_follow_the_schema(tmp_path):
     # A comm_range below the derived 13 m strands the token on some attempts.
-    cfg = validate_config(SimConfig(n_nodes=30, seed=1, comm_range=9.0))
+    cfg = SimConfig(n_nodes=30, seed=1, comm_range=9.0)
     trace = []
     record = run_single(cfg, trace=trace)
     assert not record.timed_out
@@ -340,7 +340,7 @@ def test_trace_lines_follow_the_schema(tmp_path):
 
 
 def test_trace_complete3_has_two_hop_lines(tmp_path):
-    cfg = validate_config(SimConfig(n_nodes=3, comm_range=1.0, seed=1))
+    cfg = SimConfig(n_nodes=3, comm_range=1.0, seed=1)
     provider = CompleteGraph(3)
     world = World(visits=VisitTable(3))
     trace = []
@@ -393,6 +393,31 @@ def test_figdata_outputs(tmp_path):
     assert width == 3  # n_nodes mean_overhead std_overhead
 
 
+def test_histogram_figures_sum_to_the_mean_coverage(tmp_path):
+    # A run's bins past zero sum to the fraction of nodes it visited, so a group's mean
+    # fractions sum to its runs' mean achieved coverage, whichever bins each run lacks.
+    emit_csv(run_sweep(_spec(walk_strategy=("self_repelling", "pure_random"), replicates=4)),
+             tmp_path)
+    runs = [r for r in _read_csv(tmp_path / "runs.csv") if r["achieved_coverage"]]
+    for fig, group, cells in (
+            ("fig1", ("milestone", "n_nodes"), {"walk_strategy": "self_repelling"}),
+            ("fig4", ("walk_strategy", "n_nodes"), {"milestone": "1"})):
+        sums = {}
+        for line in Path(figdata(fig, tmp_path)).read_text().splitlines()[1:]:
+            row = line.split()
+            key = tuple(row[:2])
+            sums[key] = sums.get(key, 0.0) + float(row[-1])
+        coverage = {}
+        for r in runs:
+            if all(r[c] == v for c, v in cells.items()):
+                coverage.setdefault(tuple(r[c] for c in group), []).append(
+                    float(r["achieved_coverage"]))
+        assert sums.keys() == coverage.keys(), fig
+        for key, total in sums.items():
+            assert total == pytest.approx(sum(coverage[key]) / len(coverage[key]),
+                                          abs=1e-8), (fig, key)
+
+
 PINNED_SUMMARY = """\
 n_nodes,density,mobility_model,speed_avg,walk_strategy,milestone,runs,completed,timed_out,failed,mean_overhead,std_overhead,mean_hops,mean_sim_time,mean_churn_rate
 40,0.02,random_direction,7,self_repelling,0.5,2,2,0,0,1.1,0.1,21,2.1,0.5
@@ -420,12 +445,12 @@ n_nodes,density,mobility_model,speed_avg,walk_strategy,replicate,seed,milestone,
 
 # Zero bins and the empty-mean pure_random row never reach a .dat file; keys
 # sort numerically (40 before 100, 2 before 10); histogram cells average over
-# the replicates that have the bin.
+# the runs that reached the milestone, a run without the bin counting 0.
 PINNED_FIGURES = {
     "fig1": """\
 # milestone n_nodes visits mean_node_count mean_node_fraction
 0.5 40 1 20.5 0.5125
-0.5 40 2 1 0.025
+0.5 40 2 0.5 0.0125
 1 40 1 38 0.95
 1 40 2 2 0.05
 1 100 1 100 1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from manetwalk.core import SimConfig, geometry_for, rng_stream, validate_config
+from manetwalk.core import SimConfig, geometry_for, rng_stream
 from manetwalk.mobility import (_EPOCH_EPS, MobilityState, _set_displacement, init_deployment,
                                 step_all)
 
@@ -199,7 +199,6 @@ def step_both(state, reference, config, ticks, every=1):
 
 
 def _state(cfg, seed=0):
-    cfg = validate_config(cfg)
     geom = geometry_for(cfg)
     return cfg, geom, init_deployment(cfg, geom, rng_stream(seed, "deployment"),
                                       motion_rng=rng_stream(seed, "mobility"))
@@ -393,7 +392,7 @@ def _direction_state(cfg, positions, headings, speed):
 
 
 def test_planted_heading_of_exactly_two_pi():
-    cfg = validate_config(SimConfig(n_nodes=3, density=0.02))
+    cfg = SimConfig(n_nodes=3, density=0.02)
     # Node 0 holds 2π; node 1 bounces off x = 0 from just past π, to -4.4e-16, which
     # np.mod rounds to exactly 2π. Each moves one tick on cos/sin(2π), then wraps to 0.
     state = _direction_state(cfg, [[5.0, 5.0], [0.01, 5.0], [5.0, 5.0]],
@@ -408,8 +407,8 @@ def test_planted_heading_of_exactly_two_pi():
 
 def test_planted_step_longer_than_the_side():
     # Side 1 m and 2.5 m per tick: a coordinate can land past both walls of an axis.
-    cfg = validate_config(SimConfig(n_nodes=4, density=4.0, comm_range=0.5,
-                                    speed_avg=25.0, speed_halfwidth=0.0))
+    cfg = SimConfig(n_nodes=4, density=4.0, comm_range=0.5,
+                    speed_avg=25.0, speed_halfwidth=0.0)
     _, geom, state = _state(cfg, seed=4)
     reference = copy.deepcopy(state)
     double = 0
@@ -456,7 +455,7 @@ def test_planted_every_node_paused():
 def test_directly_built_state_steps_like_the_reference(model):
     # As a static run's zero-speed reference builds it: C-ordered positions, zero speeds,
     # zero cached displacement. It stands still until its first draws.
-    cfg = validate_config(SimConfig(n_nodes=30, mobility_model=model))
+    cfg = SimConfig(n_nodes=30, mobility_model=model)
     geom = geometry_for(cfg)
     positions = rng_stream(1, "deployment").uniform(0.0, geom.side, size=(30, 2))
     state = MobilityState(model, geom.side, positions, rng_stream(1, "mobility"))

@@ -5,14 +5,14 @@ import shlex
 from pathlib import Path
 
 from manetwalk.cli import build_parser
-from manetwalk.core import config_from, read_config_file, validate_config
+from manetwalk.core import config_from, read_config_file
 from manetwalk.harness import read_sweep_file, validate_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Info string of a fenced config example -> how its file is read and validated.
 READERS = {
-    "config": lambda path: validate_config(config_from(read_config_file(path))),
+    "config": lambda path: config_from(read_config_file(path)),
     "sweep": lambda path: validate_spec(read_sweep_file(path)),
 }
 

@@ -3,8 +3,7 @@ import pytest
 from scipy import stats
 
 from manetwalk import harness, walk
-from manetwalk.core import (MOBILITY_MODELS, WALK_STRATEGIES, SimConfig, geometry_for,
-                            rng_stream, validate_config)
+from manetwalk.core import MOBILITY_MODELS, WALK_STRATEGIES, SimConfig, geometry_for, rng_stream
 from manetwalk.graphs import (CompleteGraph, CycleGraph, DiskGraph, LinkEventCounter, PathGraph,
                               StaticGraph)
 from manetwalk.harness import build_run, run_single
@@ -145,9 +144,9 @@ def test_stranded_changes_nothing():
 
 
 def test_run_walk_times_out_when_disconnected():
-    cfg = validate_config(SimConfig(
+    cfg = SimConfig(
         n_nodes=2, mobility_model="static", comm_range=0.5, density=0.0002,
-        max_sim_time=5.0, milestones=(0.5, 1.0), seed=2))
+        max_sim_time=5.0, milestones=(0.5, 1.0), seed=2)
     _, provider, world, rng = build_run(cfg)
     record = run_walk(cfg, provider, world, rng)
     assert record.timed_out
@@ -314,8 +313,8 @@ def test_static_run_with_pairs_at_exactly_r_matches_the_reference(monkeypatch):
         return state
 
     monkeypatch.setattr(harness, "init_deployment", on_integers)
-    cfg = validate_config(SimConfig(n_nodes=20, comm_range=10.0, mobility_model="static",
-                                    max_sim_time=40.0, seed=0))
+    cfg = SimConfig(n_nodes=20, comm_range=10.0, mobility_model="static",
+                    max_sim_time=40.0, seed=0)
     positions = on_integers(cfg, geometry_for(cfg), rng_stream(0, "deployment"),
                             motion_rng=rng_stream(0, "mobility")).positions
     d = positions[:, None, :] - positions[None, :, :]
@@ -326,7 +325,7 @@ def test_static_run_with_pairs_at_exactly_r_matches_the_reference(monkeypatch):
 
 
 def test_run_walk_static_complete_graph():
-    cfg = validate_config(SimConfig(n_nodes=100, seed=8))
+    cfg = SimConfig(n_nodes=100, seed=8)
     provider = CompleteGraph(100)
     world = World(visits=VisitTable(100))
     record = run_walk(cfg, provider, world, rng_stream(8, "walk"))
@@ -339,7 +338,7 @@ def test_run_walk_static_complete_graph():
 
 
 def test_run_walk_single_node():
-    cfg = validate_config(SimConfig(n_nodes=1, comm_range=1.0, seed=3))
+    cfg = SimConfig(n_nodes=1, comm_range=1.0, seed=3)
     provider = CompleteGraph(1)
     world = World(visits=VisitTable(1))
     record = run_walk(cfg, provider, world, rng_stream(3, "walk"))
@@ -349,7 +348,7 @@ def test_run_walk_single_node():
 
 
 def test_visit_sum_and_unique_invariants():
-    cfg = validate_config(SimConfig(n_nodes=80, seed=21))
+    cfg = SimConfig(n_nodes=80, seed=21)
     _, provider, world, rng = build_run(cfg)
     record = run_walk(cfg, provider, world, rng)
     token = world.token
@@ -371,7 +370,7 @@ def test_aggregates_match_brute_force():
 
 
 def test_aggregates_default_node_ids():
-    cfg = validate_config(SimConfig(n_nodes=60, seed=14))
+    cfg = SimConfig(n_nodes=60, seed=14)
     _, provider, world, rng = build_run(cfg)
     record = run_walk(cfg, provider, world, rng)
     assert not record.timed_out
@@ -404,7 +403,7 @@ def test_memoryless_decision_replay():
 
 
 def test_run_walk_hop_interval_paces_hops():
-    cfg = validate_config(SimConfig(n_nodes=10, hop_interval=0.3, tick=0.1, seed=5))
+    cfg = SimConfig(n_nodes=10, hop_interval=0.3, tick=0.1, seed=5)
     provider = CompleteGraph(10)
     world = World(visits=VisitTable(10))
     record = run_walk(cfg, provider, world, rng_stream(5, "walk"))
