@@ -3,8 +3,10 @@
 A static graph, whether an oracle family or a static deployment, is one table
 of sorted int64 neighbor rows, built once. A mobile disk graph is held as its
 node positions, read at query time, and its edges as sorted int64 keys
-i * N + j (i < j) from a sweep over renumbered y strips (disk_edges). Churn is
-the symmetric difference of two key snapshots.
+i * N + j (i < j) from a sweep over renumbered y strips (disk_edges). Churn
+between two key snapshots is a merge count: both are sorted and unique, so in
+their merged order every key they share is one adjacent equal pair, and the
+keys in only one of them number |prev| + |cur| − 2 · (equal pairs).
 """
 
 from typing import List, Optional, Set, Tuple
@@ -122,8 +124,10 @@ class DiskGraph(NeighborProvider):
         """Sorted ids within comm_range of the node, from one distance row."""
         self._check(node_id)
         d = self.positions - self.positions[node_id]
-        near = np.flatnonzero(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= self._r2)
-        return near[near != node_id]
+        d *= d
+        d2 = d[:, 0] + d[:, 1]
+        d2[node_id] = np.inf  # the node itself, whatever twin shares its position
+        return (d2 <= self._r2).nonzero()[0]
 
     def edge_keys(self) -> np.ndarray:
         """The current edges as sorted keys i * n_nodes + j, i < j (see disk_edges)."""
@@ -151,17 +155,22 @@ def disk_edges(positions: np.ndarray, comm_range: float) -> np.ndarray:
     strip = np.floor(positions[:, 1] / reach)
     order = np.lexsort((positions[:, 0], strip))
     xs, ys, strip = positions[order, 0], positions[order, 1], strip[order]
-    rank = np.cumsum(np.minimum(np.diff(strip, prepend=strip[:1]), 2.0))
-    key = rank * span + xs
-    stops = np.searchsorted(key, key + np.array([[reach], [span - reach], [span + reach]]))
-    starts = np.concatenate((np.arange(1, n + 1), stops[1]))
+    gaps = np.zeros(n)
+    np.subtract(strip[1:], strip[:-1], out=gaps[1:])
+    key = np.minimum(gaps, 2.0, out=gaps).cumsum() * span + xs  # rank * span + x
+    stops = key.searchsorted(key + np.array([[reach], [span - reach], [span + reach]]))
+    ids = np.arange(n)
+    starts = np.concatenate((ids + 1, stops[1]))
     counts = np.concatenate((stops[0], stops[2])) - starts
-    a = np.repeat(np.tile(np.arange(n), 2), counts)
-    b = np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    a = np.concatenate((ids, ids)).repeat(counts)
+    b = (starts - counts.cumsum() + counts).repeat(counts)
+    b += np.arange(b.size)
     dx, dy = xs[a] - xs[b], ys[a] - ys[b]
-    close = np.flatnonzero(dx * dx + dy * dy <= comm_range * comm_range)
+    close = (dx * dx + dy * dy <= comm_range * comm_range).nonzero()[0]
     a, b = order[a[close]], order[b[close]]
-    return np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.minimum(a, b) * n + np.maximum(a, b)
+    keys.sort()
+    return keys
 
 
 class LinkEventCounter:
@@ -178,6 +187,9 @@ class LinkEventCounter:
         if self.previous is None:
             self.previous = keys
             return
-        self.events += np.setxor1d(self.previous, keys, assume_unique=True).size
+        # Both snapshots are sorted and unique, so a key in both is one adjacent equal pair.
+        both = np.concatenate((self.previous, keys))
+        both.sort(kind="stable")  # a merge of the two sorted runs
+        self.events += both.size - 2 * int(np.count_nonzero(both[1:] == both[:-1]))
         self.previous = keys
         self.duration += self.period

@@ -5,9 +5,11 @@ builds them with `np.asfortranarray`), so their x and y columns are contiguous f
 the step kernels, for `disk_edges` and for `DiskGraph.neighbor_ids`. Any layout
 steps to the same bits; column-major is only faster.
 
-Both kernels work over all nodes with boolean masks, and gather by index only the
-few nodes that bounce, turn or draw new motion in a tick. Draws from the motion
-stream come in ascending node order, one array per quantity.
+Both kernels build their few full-length masks in place, turn each into the
+ascending index array of the nodes it selects with one `nonzero()` call, and
+gather and scatter by that index only the few nodes that bounce, turn, draw new
+motion or arrive in a tick. Draws from the motion stream come in ascending node
+order, one array per quantity.
 """
 
 import math
@@ -103,9 +105,11 @@ def _step_direction_all(state: MobilityState, config: SimConfig) -> None:
 
     # A heading changes where its node bounces. A stored heading of exactly 2π (the
     # mod of a bounce to -tiny) changes too: the next tick's mod wraps it to 0.
-    outside = (pos < 0.0) | (pos > side)
-    changed = outside[:, 0] | outside[:, 1] | (state.headings >= _TWO_PI)
-    nodes = np.flatnonzero(changed)
+    outside = pos < 0.0
+    outside |= pos > side
+    changed = outside[:, 0] | outside[:, 1]
+    changed |= state.headings >= _TWO_PI
+    nodes = changed.nonzero()[0]
     if nodes.size:
         # A few nodes a tick: plain floats, whose arithmetic and % match numpy's bits.
         xs, ys = pos[nodes, 0].tolist(), pos[nodes, 1].tolist()
@@ -124,15 +128,15 @@ def _step_direction_all(state: MobilityState, config: SimConfig) -> None:
         state.headings[nodes] = headings
 
     state.epoch_remaining -= dt
-    expired = state.epoch_remaining <= _EPOCH_EPS
-    k = int(np.count_nonzero(expired))
+    expired = (state.epoch_remaining <= _EPOCH_EPS).nonzero()[0]
+    k = expired.size
     if k:
         rng = state.rng
         state.headings[expired] = rng.uniform(0.0, _TWO_PI, size=k)
         state.speeds[expired] = rng.uniform(config.speed_min, config.speed_max, size=k)
         state.epoch_remaining[expired] = config.direction_epoch
-        changed |= expired
-        nodes = np.flatnonzero(changed)
+        changed[expired] = True
+        nodes = changed.nonzero()[0]
     if nodes.size:
         _set_displacement(state, nodes, dt)
 
@@ -142,25 +146,27 @@ def _step_waypoint_all(state: MobilityState, config: SimConfig) -> None:
     pos = state.positions
     paused = state.pause_remaining > 0.0
     np.subtract(state.pause_remaining, dt, out=state.pause_remaining, where=paused)
-    moving = ~paused
+    moving = np.logical_not(paused, out=paused)
 
-    need = moving & ~state.has_waypoint
-    k = int(np.count_nonzero(need))
+    need = (moving > state.has_waypoint).nonzero()[0]  # moving and without a waypoint
+    k = need.size
     if k:
         rng = state.rng
         state.waypoints[need] = rng.uniform(0.0, state.side, size=(k, 2))
         state.speeds[need] = rng.uniform(config.speed_min, config.speed_max, size=k)
-        state.has_waypoint |= need
+        state.has_waypoint[need] = True
 
     delta = state.waypoints - pos
     dist = np.hypot(delta[:, 0], delta[:, 1])
     step = state.speeds * dt
-    arrived = moving & (dist <= step)
-    np.copyto(pos, state.waypoints, where=arrived[:, None])
-    state.has_waypoint &= ~arrived
-    np.copyto(state.pause_remaining, config.pause_time, where=arrived)
+    arrived = ((dist <= step) & moving).nonzero()[0]
+    if arrived.size:
+        pos[arrived] = state.waypoints[arrived]
+        state.has_waypoint[arrived] = False
+        state.pause_remaining[arrived] = config.pause_time
+        moving[arrived] = False
 
-    go = moving ^ arrived  # arrived is a subset of moving
-    # Outside go, step keeps its finite value, so the product below stays finite.
-    frac = np.divide(step, dist, out=step, where=go)
-    np.add(pos, delta * frac[:, None], out=pos, where=go[:, None])
+    # Outside moving, step keeps its finite value, so the product below stays finite.
+    frac = np.divide(step, dist, out=step, where=moving)
+    delta *= frac[:, None]
+    np.add(pos, delta, out=pos, where=moving[:, None])

@@ -212,6 +212,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
         churn = LinkEventCounter(period=link_every * config.tick)
         churn.observe(provider.edge_keys())
 
+    hop = HOP_FUNCS[config.walk_strategy]
     tick = waiting_ticks = 0
     while True:
         # Before the tick is counted, so a crossing carries the time of its hop.
@@ -226,8 +227,7 @@ def run_walk(config: SimConfig, provider: NeighborProvider, world: World,
         link_due = churn is not None and tick % link_every == 0
         if world.mobility is not None:
             step_all(world.mobility, config)
-        if hop_due and not HOP_FUNCS[config.walk_strategy](
-                token, provider, visits, rng, None, trace, tick):
+        if hop_due and not hop(token, provider, visits, rng, None, trace, tick):
             waiting_ticks += 1
         if link_due:
             churn.observe(provider.edge_keys())

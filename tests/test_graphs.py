@@ -177,6 +177,8 @@ def test_disk_edges_small_range_far_from_origin():
 def test_disk_graph_tiny_sizes():
     for n in (0, 1, 2):
         assert_matches_brute_force(np.zeros((n, 2)), 1.0)
+    assert_matches_brute_force(np.array([[-1e6, 1e6]]), 1.0)
+    assert DiskGraph(np.zeros((1, 2)), 1.0).neighbor_ids(0).dtype == np.int64
     assert disk_edges(np.array([[0.0, 0.0], [1.0, 0.0]]), 1.0).tolist() == [1]
     assert disk_edges(np.array([[0.0, 0.0], [1.5, 0.0]]), 1.0).size == 0
 
@@ -214,6 +216,20 @@ def test_closed_ball_boundary():
     graph = DiskGraph(positions, r)
     assert neighbors(graph, 0) == {1}
     assert neighbors(graph, 1) == {0}
+    # 3-4-5 triangles: node 1 is exactly 5 from nodes 0 and 2, node 3 a hair beyond both.
+    positions = np.array([[0.0, 0.0], [3.0, 4.0], [7.0, 1.0], [3.0, 4.0 + 1e-12]])
+    graph = DiskGraph(positions, 5.0)
+    assert [graph.neighbor_ids(i).tolist() for i in range(4)] == [[1], [0, 2, 3], [1], [1]]
+    assert disk_edges(positions, 5.0).tolist() == [0 * 4 + 1, 1 * 4 + 2, 1 * 4 + 3]
+
+
+def test_coincident_twin_is_a_neighbor_and_the_node_is_not():
+    positions = np.array([[3.0, 3.0], [1.0, 1.0], [3.0, 3.0], [9.0, 9.0]])
+    graph = DiskGraph(positions, 1.0)
+    assert graph.neighbor_ids(0).tolist() == [2]
+    assert graph.neighbor_ids(2).tolist() == [0]
+    assert graph.neighbor_ids(3).tolist() == []
+    assert disk_edges(positions, 1.0).tolist() == [2]
 
 
 def test_static_variants_definitions():
@@ -386,6 +402,31 @@ def test_link_events_match_set_reference():
             previous = edges
         assert counter.events == events
         assert counter.duration == snapshots - 1
+
+
+def sorted_unique_keys(rng, universe, size):
+    return np.unique(rng.integers(0, universe, size=size)).astype(np.int64)
+
+
+def test_link_events_merge_count_matches_setxor1d():
+    # The merge count against the set difference it replaced, snapshot pair by pair.
+    rng = np.random.default_rng(12)
+    empty = np.zeros(0, dtype=np.int64)
+    some = np.array([0, 3, 4, 10, 2**40], dtype=np.int64)
+    pairs = [(empty, empty), (empty, some), (some, empty), (some, some),
+             (some, some + 1), (some[:2], some[2:]), (some, some[1:-1])]
+    for _ in range(300):
+        universe = int(rng.integers(1, 5000))
+        prev = sorted_unique_keys(rng, universe, int(rng.integers(0, 400)))
+        fresh = sorted_unique_keys(rng, universe, int(rng.integers(0, 400)))
+        kept = prev[rng.random(prev.size) < rng.random()]
+        pairs.append((prev, np.union1d(kept, fresh)))
+    for prev, cur in pairs:
+        counter = LinkEventCounter()
+        counter.observe(prev)
+        counter.observe(cur)
+        assert counter.events == np.setxor1d(prev, cur, assume_unique=True).size
+    assert counter.previous is cur
 
 
 def test_link_events_from_disk_edge_snapshots():

@@ -468,3 +468,37 @@ def test_directly_built_state_steps_like_the_reference(model):
         assert np.array_equal(positions, deployed)
     step_both(state, reference, cfg, 300)
     assert not np.array_equal(positions, deployed)
+
+
+# --- the index paths at their extremes ----------------------------------------
+
+@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
+def test_every_epoch_expiring_each_tick_matches_the_reference(model):
+    # direction_epoch == tick: after the first expiry every node redraws every tick (k = N).
+    cfg, _, state = _state(SimConfig(n_nodes=100, mobility_model=model, direction_epoch=0.1),
+                           seed=5)
+    reference = copy.deepcopy(state)
+    step_both(state, reference, cfg, 15)
+    if model == "random_direction":
+        assert (state.epoch_remaining == cfg.direction_epoch).all()
+    step_both(state, reference, cfg, 500, every=5)
+
+
+@pytest.mark.parametrize("pause_time", [2.0, 0.0])
+@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
+def test_1500_m_per_s_matches_the_reference(model, pause_time):
+    # 150 m a tick on a 70.7 m square: every random-direction node bounces each tick,
+    # often more than once, and a waypoint node arrives within a tick or two of its draw.
+    cfg, geom, state = _state(SimConfig(n_nodes=100, mobility_model=model, speed_avg=1500.0,
+                                        pause_time=pause_time), seed=6)
+    reference = copy.deepcopy(state)
+    events = 0
+    for _ in range(300):
+        if model == "random_direction":
+            raw = state.positions + state.displacement
+            events += np.count_nonzero((raw < 0.0) | (raw > geom.side))
+        step_both(state, reference, cfg, 1)
+        arrived = ~state.has_waypoint & (state.pause_remaining == cfg.pause_time)
+        events += np.count_nonzero(arrived)
+        assert ((state.positions >= 0) & (state.positions <= geom.side)).all()
+    assert events > 1000
