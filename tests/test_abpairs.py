@@ -21,6 +21,16 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_median_past_the_parent_spread():
     assert verdict(PARENT, change, "higher", 0.25)["verdict"] == "within"
     # Ten wins by less than the parent's interquartile range are no gain either.
     assert verdict(PARENT, [p + 0.5 for p in PARENT], "higher", 0.25)["verdict"] == "within"
+    # Fewer than ten pairs never show a gain, however clean.
+    assert verdict(PARENT[:9], [p * 1.2 for p in PARENT[:9]], "higher", 0.25)["verdict"] == "within"
+
+
+def test_a_change_that_fails_more_gets_no_gain():
+    faster = [p * 1.2 for p in PARENT]
+    assert verdict(PARENT, faster, "higher", 0.25, change_fails_more=True)["verdict"] == "within"
+    # A loss is still a loss.
+    slower = [p * 0.7 for p in PARENT]
+    assert verdict(PARENT, slower, "higher", 0.25, change_fails_more=True)["verdict"] == "loss"
 
 
 def test_lower_is_better_turns_the_comparison_round():

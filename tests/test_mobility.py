@@ -484,21 +484,25 @@ def test_every_epoch_expiring_each_tick_matches_the_reference(model):
     step_both(state, reference, cfg, 500, every=5)
 
 
-@pytest.mark.parametrize("pause_time", [2.0, 0.0])
-@pytest.mark.parametrize("model", ["random_direction", "random_waypoint"])
-def test_1500_m_per_s_matches_the_reference(model, pause_time):
-    # 150 m a tick on a 70.7 m square: every random-direction node bounces each tick,
-    # often more than once, and a waypoint node arrives within a tick or two of its draw.
+# 300 ticks of 100 nodes at 150 m a tick on a 70.7 m square: each random-direction
+# node bounces at least once a tick, a waypoint node arrives in the tick it draws its
+# waypoint, so every tick without a pause and once every 21 ticks with a 2 s pause.
+# The direction kernel never reads pause_time, so it runs once.
+@pytest.mark.parametrize("model, pause_time, least_events", [("random_direction", 0.0, 30000),
+                                                             ("random_waypoint", 2.0, 1400),
+                                                             ("random_waypoint", 0.0, 30000)])
+def test_1500_m_per_s_matches_the_reference(model, pause_time, least_events):
     cfg, geom, state = _state(SimConfig(n_nodes=100, mobility_model=model, speed_avg=1500.0,
                                         pause_time=pause_time), seed=6)
     reference = copy.deepcopy(state)
     events = 0
     for _ in range(300):
-        if model == "random_direction":
+        if model == "random_direction":  # count bouncing coordinates
             raw = state.positions + state.displacement
             events += np.count_nonzero((raw < 0.0) | (raw > geom.side))
         step_both(state, reference, cfg, 1)
-        arrived = ~state.has_waypoint & (state.pause_remaining == cfg.pause_time)
-        events += np.count_nonzero(arrived)
+        if model == "random_waypoint":  # count arrivals: a pause just set, no waypoint
+            arrived = ~state.has_waypoint & (state.pause_remaining == cfg.pause_time)
+            events += np.count_nonzero(arrived)
         assert ((state.positions >= 0) & (state.positions <= geom.side)).all()
-    assert events > 1000
+    assert events >= least_events
